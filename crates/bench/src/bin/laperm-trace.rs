@@ -198,7 +198,8 @@ fn main() {
     }
 
     // Step manually so the machine can be sampled for the IPC counter
-    // track. Fast-forward stays on; a jump just lands past the next
+    // track. `step` runs the configured engine (the event engine by
+    // default, as `repro` does); a jump just lands past the next
     // sampling boundary.
     let mut samples = Vec::new();
     if opts.sample_every > 0 {

@@ -44,8 +44,11 @@
 //! stderr progress interleaving differs.
 //!
 //! `--engine` selects the simulation engine for `all` (default:
-//! event). The CI `engine-equivalence` job runs `all` once per engine
-//! and diffs the two `repro.json` documents byte-for-byte.
+//! `event`, the discrete-event engine that skips idle cycles;
+//! `cycle-stepped` is the reference linear scan that steps every SMX
+//! on every cycle and never skips one). Any other value exits 2. The
+//! CI `engine-equivalence` job runs `all` once per engine and diffs
+//! the two `repro.json` documents byte-for-byte.
 //!
 //! `--programs` selects the program-generation path for `all` (default:
 //! generator). `dsl` serves every suite workload from its DSL port
@@ -129,7 +132,10 @@ fn parse_args() -> Args {
         Some("cycle-stepped") => EngineMode::CycleStepped,
         Some("event") | None => EngineMode::Event,
         Some(other) => {
-            eprintln!("unknown engine {other}; choose event or cycle-stepped");
+            eprintln!(
+                "unknown engine {other}; choose event (skips idle cycles) or \
+                 cycle-stepped (never-skipping reference)"
+            );
             std::process::exit(2);
         }
     };

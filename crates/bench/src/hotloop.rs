@@ -14,9 +14,7 @@
 //! * `launch-storm/kepler_k20c` — a CDP relay that bursts launches
 //!   through a finite two-slot pending-launch buffer on the Table I
 //!   machine, dominated by launch-path queueing (spill-queue release
-//!   edges). Measured under both engines (the `/cycle-stepped` twin),
-//!   so the document shows the event engine's gain on launch-dominated
-//!   workloads directly.
+//!   edges), which the event engine wakes for exactly.
 //!
 //! The `hotloop` binary runs all cases and emits `BENCH_hotloop.json`
 //! (with the producing machine's `host_cpus`, so cross-host wall-clock
@@ -49,8 +47,6 @@ pub struct HotloopResult {
     pub launch_model: String,
     /// Simulation engine under test (`event` or `cycle-stepped`).
     pub engine: String,
-    /// Whether idle-cycle fast-forward was enabled.
-    pub fast_forward: bool,
     /// Simulation repetitions measured.
     pub iters: u32,
     /// Total simulated cycles across all repetitions.
@@ -62,13 +58,11 @@ pub struct HotloopResult {
 }
 
 impl HotloopResult {
-    #[allow(clippy::too_many_arguments)]
     fn from_run(
         name: &str,
         scheduler: &str,
         launch_model: &str,
         engine: EngineMode,
-        fast_forward: bool,
         iters: u32,
         cycles: u64,
         wall_secs: f64,
@@ -78,7 +72,6 @@ impl HotloopResult {
             scheduler: scheduler.to_string(),
             launch_model: launch_model.to_string(),
             engine: engine.name().to_string(),
-            fast_forward,
             iters,
             cycles,
             wall_secs,
@@ -91,13 +84,12 @@ impl HotloopResult {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"name\": \"{}\", \"scheduler\": \"{}\", \"launch_model\": \"{}\", \
-             \"engine\": \"{}\", \"fast_forward\": {}, \"iters\": {}, \"cycles\": {}, \
+             \"engine\": \"{}\", \"iters\": {}, \"cycles\": {}, \
              \"wall_secs\": {:.6}, \"cycles_per_sec\": {:.1}}}",
             self.name,
             self.scheduler,
             self.launch_model,
             self.engine,
-            self.fast_forward,
             self.iters,
             self.cycles,
             self.wall_secs,
@@ -120,16 +112,7 @@ pub fn bench_figure4_toy(iters: u32) -> HotloopResult {
         cycles += stats.cycles;
     }
     let wall = start.elapsed().as_secs_f64();
-    HotloopResult::from_run(
-        "figure4-toy",
-        "rr",
-        "dtbl",
-        cfg.engine_mode,
-        cfg.fast_forward,
-        iters,
-        cycles,
-        wall,
-    )
+    HotloopResult::from_run("figure4-toy", "rr", "dtbl", cfg.engine_mode, iters, cycles, wall)
 }
 
 /// Runs `bfs-citation` at [`Scale::Small`] on the Table I Kepler machine
@@ -162,7 +145,6 @@ pub fn bench_kepler_reference(iters: u32) -> HotloopResult {
         sched.name(),
         model.name(),
         cfg.engine_mode,
-        cfg.fast_forward,
         iters,
         cycles,
         wall,
@@ -207,7 +189,6 @@ pub fn bench_kepler_reference_dsl(iters: u32) -> HotloopResult {
         sched.name(),
         model.name(),
         cfg.engine_mode,
-        cfg.fast_forward,
         iters,
         cycles,
         wall,
@@ -268,17 +249,11 @@ fn storm_limits() -> LaunchLimits {
     }
 }
 
-/// Runs the launch storm on the Table I Kepler machine under the given
-/// engine. The spill queue is occupied for most of the run, which the
-/// cycle-stepped engine's fast-forward refuses to skip over (any
-/// upcoming cycle could release an entry), while the event engine wakes
-/// exactly at the queue's release edges. The event-mode row is the
-/// tracked metric; the cycle-stepped twin is the reference that makes
-/// the launch-dominated speedup visible inside `BENCH_hotloop.json`
-/// itself.
-pub fn bench_launch_storm(iters: u32, engine: EngineMode) -> HotloopResult {
+/// Runs the launch storm on the Table I Kepler machine. The spill queue
+/// is occupied for most of the run; the event engine skips the idle
+/// cycles between the queue's release edges.
+pub fn bench_launch_storm(iters: u32) -> HotloopResult {
     let mut cfg = GpuConfig::kepler_k20c();
-    cfg.engine_mode = engine;
     cfg.launch_limits = storm_limits();
     let model = LaunchModelKind::Cdp;
     let mut cycles = 0u64;
@@ -293,11 +268,15 @@ pub fn bench_launch_storm(iters: u32, engine: EngineMode) -> HotloopResult {
         cycles += stats.cycles;
     }
     let wall = start.elapsed().as_secs_f64();
-    let name = match engine {
-        EngineMode::Event => "launch-storm/kepler_k20c",
-        EngineMode::CycleStepped => "launch-storm/kepler_k20c/cycle-stepped",
-    };
-    HotloopResult::from_run(name, "rr", model.name(), engine, cfg.fast_forward, iters, cycles, wall)
+    HotloopResult::from_run(
+        "launch-storm/kepler_k20c",
+        "rr",
+        model.name(),
+        cfg.engine_mode,
+        iters,
+        cycles,
+        wall,
+    )
 }
 
 /// Runs the full hotloop suite.
@@ -306,8 +285,7 @@ pub fn run_hotloop() -> Vec<HotloopResult> {
         bench_figure4_toy(5000),
         bench_kepler_reference(15),
         bench_kepler_reference_dsl(15),
-        bench_launch_storm(10, EngineMode::Event),
-        bench_launch_storm(10, EngineMode::CycleStepped),
+        bench_launch_storm(10),
     ]
 }
 
@@ -456,8 +434,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip_recovers_throughput() {
-        let r =
-            HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, true, 3, 1000, 0.5);
+        let r = HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, 3, 1000, 0.5);
         let json = render_json(std::slice::from_ref(&r), &[], 4);
         let parsed = parse_baseline(&json);
         assert_eq!(parsed.len(), 1);
@@ -469,8 +446,7 @@ mod tests {
 
     #[test]
     fn host_cpus_absent_from_old_documents() {
-        let r =
-            HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, true, 3, 1000, 0.5);
+        let r = HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, 3, 1000, 0.5);
         let json = render_json(std::slice::from_ref(&r), &[], 4);
         let stripped: String =
             json.lines().filter(|l| !l.contains("host_cpus")).collect::<Vec<_>>().join("\n");
@@ -479,8 +455,7 @@ mod tests {
 
     #[test]
     fn render_includes_speedup_against_baseline() {
-        let r =
-            HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, true, 1, 3000, 1.0);
+        let r = HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, 1, 3000, 1.0);
         let json = render_json(&[r], &[("case-a".to_string(), 1000.0)], 1);
         assert!(json.contains("\"speedup\": 3.00"), "{json}");
         assert!(json.contains("\"baseline_cycles_per_sec\": 1000.0"), "{json}");
@@ -489,8 +464,7 @@ mod tests {
     #[test]
     fn regression_within_tolerance_passes() {
         // 800 vs 1000 baseline = -20%, inside a 30% tolerance.
-        let r =
-            HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, true, 1, 800, 1.0);
+        let r = HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, 1, 800, 1.0);
         let (ok, report) = check_regressions(&[r], &[("case-a".to_string(), 1000.0)], 30.0, None);
         assert!(ok, "{report}");
         assert!(report.contains("OK   case-a"), "{report}");
@@ -499,8 +473,7 @@ mod tests {
     #[test]
     fn regression_beyond_tolerance_fails_with_both_numbers() {
         // 600 vs 1000 baseline = -40%, outside a 30% tolerance.
-        let r =
-            HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, true, 1, 600, 1.0);
+        let r = HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, 1, 600, 1.0);
         let (ok, report) =
             check_regressions(&[r], &[("case-a".to_string(), 1000.0)], 30.0, Some((2, 2)));
         assert!(!ok);
@@ -513,8 +486,7 @@ mod tests {
     fn cross_host_miss_is_annotated_not_failed() {
         // Same -40% miss, but the baseline came from an 8-cpu host and
         // this run from a 1-cpu host: annotate, don't fail.
-        let r =
-            HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, true, 1, 600, 1.0);
+        let r = HotloopResult::from_run("case-a", "rr", "dtbl", EngineMode::Event, 1, 600, 1.0);
         let (ok, report) =
             check_regressions(&[r], &[("case-a".to_string(), 1000.0)], 30.0, Some((8, 1)));
         assert!(ok, "{report}");
@@ -525,16 +497,7 @@ mod tests {
 
     #[test]
     fn a_case_without_baseline_never_fails() {
-        let r = HotloopResult::from_run(
-            "brand-new",
-            "rr",
-            "dtbl",
-            EngineMode::Event,
-            true,
-            1,
-            600,
-            1.0,
-        );
+        let r = HotloopResult::from_run("brand-new", "rr", "dtbl", EngineMode::Event, 1, 600, 1.0);
         let (ok, report) = check_regressions(&[r], &[("case-a".to_string(), 1000.0)], 30.0, None);
         assert!(ok, "{report}");
         assert!(report.contains("NEW  brand-new"), "{report}");

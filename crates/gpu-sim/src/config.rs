@@ -34,15 +34,15 @@ impl std::fmt::Display for WarpSchedPolicy {
 pub enum EngineMode {
     /// Discrete-event execution: components publish their next wake-up
     /// cycle and the engine jumps between wake-ups via a min-heap,
-    /// touching only the components that are due. Statistics are
-    /// bit-identical to [`EngineMode::CycleStepped`]; the
-    /// `engine-equivalence` gate asserts this on the ci-scale matrix.
+    /// touching only the components that are due and skipping every
+    /// cycle on which nothing can act. Statistics are bit-identical to
+    /// [`EngineMode::CycleStepped`]; the `engine-equivalence` gate
+    /// asserts this on the ci-scale matrix.
     #[default]
     Event,
-    /// Reference mode: step every cycle, iterating all components each
-    /// time (with the idle-cycle fast-forward optimization layered on
-    /// top when [`GpuConfig::fast_forward`] is set). Kept as the
-    /// oracle the event engine is diffed against.
+    /// Reference mode: a linear scan that steps every SMX on every
+    /// cycle and never skips a cycle. Kept as the oracle the event
+    /// engine is diffed against.
     CycleStepped,
 }
 
@@ -196,22 +196,16 @@ pub struct GpuConfig {
     /// [`run_to_completion`]: crate::engine::Simulator::run_to_completion
     pub max_cycles: u64,
 
-    /// How [`run_to_completion`] advances time. [`EngineMode::Event`]
-    /// (the default) drives the machine from a min-heap of component
-    /// wake-ups; [`EngineMode::CycleStepped`] iterates every component
-    /// every cycle and is kept as the equivalence oracle. Both produce
-    /// bit-identical statistics and trace streams.
+    /// How [`Simulator::step`] advances time — the engine's one switch.
+    /// [`EngineMode::Event`] (the default) drives the machine from a
+    /// min-heap of component wake-ups and jumps over idle stretches;
+    /// [`EngineMode::CycleStepped`] steps every SMX on every cycle and
+    /// is kept as the equivalence oracle. Both produce bit-identical
+    /// statistics and trace streams (modulo `FastForward` markers); see
+    /// `docs/ARCHITECTURE.md`, "Idle-cycle skipping".
     ///
-    /// [`run_to_completion`]: crate::engine::Simulator::run_to_completion
+    /// [`Simulator::step`]: crate::engine::Simulator::step
     pub engine_mode: EngineMode,
-
-    /// Skip idle stretches: when no launch is in flight, the KMU is
-    /// empty, and no TB awaits dispatch, the engine advances the cycle
-    /// counter directly to the next SMX/launch event instead of stepping
-    /// through cycles in which nothing can happen. Statistics are
-    /// bit-identical either way (see `docs/ARCHITECTURE.md`,
-    /// "Performance"); disable only to cross-check that invariant.
-    pub fast_forward: bool,
 
     /// Locality provenance profiling: tag every cache line with the TB
     /// that installed it and classify each hit by its relation to the
@@ -224,7 +218,7 @@ pub struct GpuConfig {
 
     /// Engine introspection profiling: tag every engine-loop iteration
     /// with its [`WakeSource`](crate::stats::WakeSource), histogram
-    /// event-heap depth / due events per cycle / fast-forward jump
+    /// event-heap depth / due events per cycle / idle-skip jump
     /// lengths, and sample host-time spans around each engine stage.
     /// Off by default; when off the simulator allocates no profiling
     /// state and the hot loop takes one `Option` branch per stage.
@@ -251,7 +245,7 @@ pub struct GpuConfig {
     /// other statistic are identical with it on or off, and the
     /// resulting [`LatencyStats`](crate::stats::LatencyStats) observes
     /// the simulated machine, so it is bit-identical across engine
-    /// modes and fast-forward settings.
+    /// modes.
     pub profile_latency: bool,
 
     /// Finite launch-path capacities and the overflow policy applied at
@@ -306,7 +300,6 @@ impl GpuConfig {
             launch_issue_cycles: 8,
             max_cycles: 500_000_000,
             engine_mode: EngineMode::Event,
-            fast_forward: true,
             profile_locality: false,
             profile_engine: false,
             engine_host_sampling: 64,
@@ -346,7 +339,6 @@ impl GpuConfig {
             launch_issue_cycles: 2,
             max_cycles: 50_000_000,
             engine_mode: EngineMode::Event,
-            fast_forward: true,
             profile_locality: false,
             profile_engine: false,
             engine_host_sampling: 64,

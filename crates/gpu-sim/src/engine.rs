@@ -138,8 +138,8 @@ pub struct Simulator {
     // (cycle, smx index) and the authoritative wake per SMX. Heap
     // entries whose cycle no longer matches `smx_wake` are stale and
     // discarded on pop (lazy invalidation); `Cycle::MAX` means no wake
-    // is scheduled. Only maintained once the event loop arms
-    // `event_live`, so manual steppers pay nothing.
+    // is scheduled. Armed (`event_live`) by the first event-mode
+    // `step`; never maintained under `EngineMode::CycleStepped`.
     event_heap: BinaryHeap<Reverse<(Cycle, u16)>>,
     smx_wake: Vec<Cycle>,
     event_live: bool,
@@ -261,8 +261,8 @@ impl Simulator {
 
     /// Attaches a deterministic fault-injection plan (see [`crate::fault`]).
     ///
-    /// Fault windows compose with idle-cycle skipping in both engine
-    /// modes: `KillSmx` release edges become wake-up sources
+    /// Fault windows compose with the event engine's idle-cycle
+    /// skipping: `KillSmx` release edges become wake-up sources
     /// (`FaultPlan::first_alive`) and delayed launches contribute
     /// their maturity cycles, so skips land exactly where the machine
     /// next changes state. Statistics are bit-identical to stepping
@@ -328,8 +328,8 @@ impl Simulator {
         self.kmu.len()
     }
 
-    /// Idle cycles skipped by the fast-forward path (0 when
-    /// `cfg.fast_forward` is off). These cycles are still counted in
+    /// Idle cycles the event engine jumped over (always 0 under
+    /// [`EngineMode::CycleStepped`]). These cycles are still counted in
     /// [`cycle`](Self::cycle); they just were not stepped one by one.
     pub fn fast_forwarded_cycles(&self) -> u64 {
         self.fast_forwarded_cycles
@@ -486,7 +486,15 @@ impl Simulator {
         }
     }
 
-    /// Advances the simulation by one cycle.
+    /// Runs one iteration of the engine selected by
+    /// [`GpuConfig::engine_mode`] — the loop body
+    /// [`run_to_completion`](Self::run_to_completion) repeats, so a
+    /// manual `while !sim.is_done() { sim.step()? }` observes exactly
+    /// the engine that produces the run's results. Under
+    /// [`EngineMode::Event`] the first call arms the wake-up heap and
+    /// each call then advances to the machine's next event (possibly
+    /// many cycles); under [`EngineMode::CycleStepped`] each call
+    /// advances exactly one cycle.
     ///
     /// # Errors
     ///
@@ -495,6 +503,20 @@ impl Simulator {
     /// forward-progress watchdog ([`SimError::NoForwardProgress`]), and
     /// violated engine invariants ([`SimError::EngineInvariant`]).
     pub fn step(&mut self) -> Result<(), SimError> {
+        match self.cfg.engine_mode {
+            EngineMode::Event => {
+                if !self.event_live {
+                    self.arm_event_heap();
+                }
+                self.step_event()
+            }
+            EngineMode::CycleStepped => self.step_cycle(),
+        }
+    }
+
+    /// One iteration of the reference engine: every stage, and every
+    /// alive SMX in a linear scan, on the consecutive cycle.
+    fn step_cycle(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
         let sample = self.prof_begin(None);
         self.watchdog_check(now)?;
@@ -523,16 +545,10 @@ impl Simulator {
         }
         self.prof_add(3, t);
 
+        // Never skipping: the next iteration is an ordinary
+        // per-component tick on the consecutive cycle.
         self.cycle += 1;
-        if self.cfg.fast_forward {
-            let t = sample.then(Instant::now);
-            self.fast_forward();
-            self.prof_add(4, t);
-        } else {
-            // Stepping every cycle: the next iteration is an ordinary
-            // per-component tick on the consecutive cycle.
-            self.prof_set_wake(WakeSource::ComponentTick, 0);
-        }
+        self.prof_set_wake(WakeSource::ComponentTick, 0);
         Ok(())
     }
 
@@ -642,7 +658,7 @@ impl Simulator {
 
     /// Stage 3: the SMX scheduler dispatches at most one TB. The
     /// scheduler's `pick` runs (and may mutate its cost counters) on
-    /// every cycle with undispatched TBs, so neither engine mode may
+    /// every cycle with undispatched TBs, so the event engine may not
     /// skip such a cycle.
     fn stage_tb_dispatch(&mut self, now: Cycle) -> Result<(), SimError> {
         if self.undispatched > 0 {
@@ -752,8 +768,8 @@ impl Simulator {
     }
 
     /// One iteration of the event engine: the same stage pipeline as
-    /// [`step`](Self::step), but stage 4 visits only the SMXs whose
-    /// scheduled wake-up is due (popped from the min-heap in
+    /// [`step_cycle`](Self::step_cycle), but stage 4 visits only the
+    /// SMXs whose scheduled wake-up is due (popped from the min-heap in
     /// (cycle, index) order, which preserves the launch-credit and
     /// submission ordering of the linear scan), and the cycle counter
     /// then jumps to the machine's next event instead of incrementing
@@ -817,16 +833,13 @@ impl Simulator {
     /// to the watchdog deadline *without* re-arming it, so the wedge is
     /// diagnosed on the same cycle as single-stepping would.
     ///
-    /// Disabled (the engine steps every cycle) when `cfg.fast_forward`
-    /// is off, which keeps the off-switch meaning "no cycle is ever
-    /// skipped" in both engine modes.
+    /// Skipping is safe because idle cycles mutate nothing: SMX `step`
+    /// early-returns before [`Smx::next_event`], launch models only act
+    /// when a launch matures, and memory latencies are computed lazily
+    /// at access time. Deferred SMX stall accounting charges a skipped
+    /// span to each SMX's unchanged wait cause on its next active step
+    /// or stats read.
     fn event_advance(&mut self) {
-        if !self.cfg.fast_forward {
-            // Stepping every cycle: every iteration is an ordinary
-            // consecutive-cycle tick.
-            self.prof_set_wake(WakeSource::ComponentTick, 0);
-            return;
-        }
         let c = self.cycle;
         let mut target = Cycle::MAX;
         // Which candidate arm produced the winning (earliest) target.
@@ -939,113 +952,18 @@ impl Simulator {
         }
     }
 
-    /// Runs the machine on the discrete-event engine until
-    /// [`is_done`](Self::is_done) or the cycle limit.
-    fn run_event(&mut self) -> Result<SimStats, SimError> {
+    /// Arms the event engine: seeds the wake-up heap from each SMX's
+    /// published next tick. From here on `place` and `step_event` keep
+    /// it current.
+    fn arm_event_heap(&mut self) {
         self.event_live = true;
         self.event_heap.clear();
         self.smx_wake.clear();
         self.smx_wake.resize(self.smxs.len(), Cycle::MAX);
         for i in 0..self.smxs.len() {
-            // Seed from each component's published wake-up.
             if Component::next_tick(&self.smxs[i]).is_some() {
                 let at = self.smx_wake_for(i, self.cycle);
                 self.set_smx_wake(i, at);
-            }
-        }
-        while !self.is_done() {
-            self.step_event()?;
-            if self.cycle > self.cfg.max_cycles {
-                return Err(SimError::CycleLimitExceeded { limit: self.cfg.max_cycles });
-            }
-        }
-        Ok(self.stats())
-    }
-
-    /// Jumps `cycle` over a provably idle stretch.
-    ///
-    /// Safe because idle cycles mutate nothing: SMX `step` early-returns
-    /// before [`Smx::next_event`], launch models only act when a launch
-    /// matures, and memory latencies are computed lazily at access time.
-    /// The jump is therefore bit-identical to stepping each skipped cycle
-    /// (asserted by `tests/determinism.rs`). We only jump when no KMU
-    /// kernel is pending and no TB is undispatched, since those stages
-    /// (and their scheduler cost counters) can act on any cycle.
-    ///
-    /// Fault windows clamp rather than disable the jump: a killed SMX
-    /// contributes its release edge (`FaultPlan::first_alive`) and a
-    /// fault-delayed launch its maturity cycle, so the skip lands
-    /// exactly where the machine next changes state.
-    fn fast_forward(&mut self) {
-        if !self.kmu.is_empty() || self.undispatched > 0 {
-            self.prof_set_wake(WakeSource::ComponentTick, 0);
-            return;
-        }
-        // KMU-backlog retries and spill releases can act on any upcoming
-        // cycle the buffer has space; never jump over them. Both queues
-        // stay empty under unbounded limits.
-        if !self.launch_backlog.is_empty() || !self.spill_queue.is_empty() {
-            self.prof_set_wake(WakeSource::BackpressureRelease, 0);
-            return;
-        }
-        let mut target = match self.launch_model.next_ready() {
-            Some(ready) => ready,
-            None => Cycle::MAX,
-        };
-        for &(ready, _) in &self.delayed_launches {
-            target = target.min(ready.max(self.cycle));
-        }
-        let mut any_resident = false;
-        for i in 0..self.smxs.len() {
-            if self.smxs[i].resident_tbs() > 0 {
-                any_resident = true;
-                target = target.min(self.smx_wake_for(i, self.cycle));
-            }
-        }
-        let wedge = target == Cycle::MAX;
-        if wedge {
-            if !any_resident {
-                // Machine is done; leave `cycle` where the last event
-                // put it.
-                return;
-            }
-            // Every resident SMX is killed with no release edge and no
-            // launch can mature: jump to the watchdog deadline without
-            // re-arming it, so the stage-0 compare fires on the same
-            // cycle single-stepping would reach.
-            target = self.watchdog_deadline;
-        }
-        // Clamp so `run_to_completion` reports CycleLimitExceeded at the
-        // same cycle count as single-stepping would.
-        let target = target.min(self.cfg.max_cycles.saturating_add(1));
-        let jump = target.saturating_sub(self.cycle);
-        self.prof_set_wake(
-            if wedge {
-                WakeSource::WatchdogDeadline
-            } else if jump >= 1 {
-                WakeSource::FastForwardJump
-            } else {
-                WakeSource::ComponentTick
-            },
-            jump,
-        );
-        if target > self.cycle {
-            let skipped = target - self.cycle;
-            self.fast_forwarded_cycles += skipped;
-            // No stall bookkeeping needed: SMX accounting is deferred,
-            // so skipped cycles are charged to each SMX's (unchanged)
-            // wait cause on its next active step or stats read.
-            self.emit(self.cycle, TraceEvent::FastForward { from: self.cycle, to: target });
-            self.cycle = target;
-            // A jump lands exactly on the machine's next event, which is
-            // progress by construction; push the watchdog deadline past
-            // it so a long (legitimate) idle stretch cannot trip it. A
-            // wedge jump deliberately leaves the deadline alone.
-            if !wedge {
-                if let Some(window) = self.cfg.watchdog_window {
-                    self.watchdog_deadline =
-                        self.watchdog_deadline.max(target.saturating_add(window));
-                }
             }
         }
     }
@@ -1151,29 +1069,23 @@ impl Simulator {
         self.admit_to_launch_model(req, now);
     }
 
-    /// Runs until [`is_done`](Self::is_done) or the cycle limit, on the
-    /// engine selected by [`GpuConfig::engine_mode`]. Both engines
-    /// produce bit-identical statistics, trace streams (modulo
-    /// `FastForward` markers), and errors (asserted by
-    /// `tests/engine_equivalence.rs`).
+    /// [`step`](Self::step)s until [`is_done`](Self::is_done) or the
+    /// cycle limit. Both engine modes produce bit-identical statistics,
+    /// trace streams (modulo `FastForward` markers), and errors
+    /// (asserted by `tests/engine_equivalence.rs`).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::CycleLimitExceeded`] past `cfg.max_cycles`, or
     /// any error from [`step`](Self::step).
     pub fn run_to_completion(&mut self) -> Result<SimStats, SimError> {
-        match self.cfg.engine_mode {
-            EngineMode::Event => self.run_event(),
-            EngineMode::CycleStepped => {
-                while !self.is_done() {
-                    self.step()?;
-                    if self.cycle > self.cfg.max_cycles {
-                        return Err(SimError::CycleLimitExceeded { limit: self.cfg.max_cycles });
-                    }
-                }
-                Ok(self.stats())
+        while !self.is_done() {
+            self.step()?;
+            if self.cycle > self.cfg.max_cycles {
+                return Err(SimError::CycleLimitExceeded { limit: self.cfg.max_cycles });
             }
         }
+        Ok(self.stats())
     }
 
     /// A snapshot of the statistics so far.
@@ -1809,84 +1721,76 @@ mod tests {
     #[test]
     fn latency_partition_is_exact_in_both_engine_modes() {
         for mode in [EngineMode::Event, EngineMode::CycleStepped] {
-            for fast_forward in [false, true] {
-                let mut cfg = GpuConfig::small_test();
-                cfg.engine_mode = mode;
-                cfg.fast_forward = fast_forward;
-                cfg.profile_latency = true;
-                let mut sim =
-                    Simulator::new(cfg, Box::new(NestedSource { launcher: 1, children: 3 }));
-                sim.launch_host_kernel(KernelKindId(0), 0, 6, ResourceReq::new(64, 8, 0)).unwrap();
-                let stats = sim.run_to_completion().unwrap();
-                let lat = stats.latency.as_ref().expect("profiling on");
-                let ctx = format!("{mode:?} ff={fast_forward}");
-                assert_eq!(lat.partition_violations, 0, "{ctx}: out-of-order stamps");
-                assert_eq!(
-                    lat.tbs,
-                    stats.tb_records.len() as u64,
-                    "{ctx}: every dispatched TB must be in the histograms"
-                );
-                for h in [&lat.launch_path, &lat.queue_wait, &lat.dispatch_gap, &lat.exec] {
-                    assert_eq!(h.count, lat.tbs, "{ctx}: component count mismatch");
-                }
-                // The four components partition the lifetime exactly, in
-                // aggregate and therefore per TB (each is per-TB exact by
-                // telescoping; sums catch any miss).
-                assert_eq!(
-                    lat.launch_path.sum + lat.queue_wait.sum + lat.dispatch_gap.sum + lat.exec.sum,
-                    lat.lifetime.sum,
-                    "{ctx}: components must sum to lifetime"
-                );
-                // Child splits partition the child histogram.
-                assert_eq!(
-                    lat.bound_queue_wait.count + lat.stolen_queue_wait.count,
-                    lat.child_queue_wait.count,
-                    "{ctx}: bound/stolen must partition children"
-                );
-                assert_eq!(lat.child_queue_wait.count, 3, "{ctx}: 3 children expected");
-                // Depth rollup covers every TB.
-                let depth_total: u64 = lat.depth_queue_wait.iter().map(|(_, h)| h.count).sum();
-                assert_eq!(depth_total, lat.tbs, "{ctx}: depth rollup incomplete");
-                let kind_total: u64 = lat.kind_lifetime.iter().map(|(_, h)| h.count).sum();
-                assert_eq!(kind_total, lat.tbs, "{ctx}: kind rollup incomplete");
-                // Critical path: non-trivial on a nested run, internally
-                // exact, and bounded by the makespan.
-                let cp = &lat.critical_path;
-                assert_eq!(cp.len as usize, cp.chain.len(), "{ctx}: chain length mismatch");
-                assert!(cp.len >= 1, "{ctx}: empty critical path");
-                assert_eq!(
-                    cp.queue_cycles + cp.exec_cycles,
-                    cp.cycles,
-                    "{ctx}: critical-path attribution must partition its weight"
-                );
-                assert!(cp.cycles <= stats.cycles, "{ctx}: path longer than the run");
-                // Chain is stored root-first: parents dispatch before
-                // their children.
-                for pair in cp.chain.windows(2) {
-                    let d = |tb: &TbRef| {
-                        stats.tb_records.iter().find(|r| r.tb == *tb).unwrap().dispatched_at
-                    };
-                    assert!(d(&pair[0]) <= d(&pair[1]), "{ctx}: chain not root-first");
-                }
+            let mut cfg = GpuConfig::small_test();
+            cfg.engine_mode = mode;
+            cfg.profile_latency = true;
+            let mut sim = Simulator::new(cfg, Box::new(NestedSource { launcher: 1, children: 3 }));
+            sim.launch_host_kernel(KernelKindId(0), 0, 6, ResourceReq::new(64, 8, 0)).unwrap();
+            let stats = sim.run_to_completion().unwrap();
+            let lat = stats.latency.as_ref().expect("profiling on");
+            let ctx = format!("{mode:?}");
+            assert_eq!(lat.partition_violations, 0, "{ctx}: out-of-order stamps");
+            assert_eq!(
+                lat.tbs,
+                stats.tb_records.len() as u64,
+                "{ctx}: every dispatched TB must be in the histograms"
+            );
+            for h in [&lat.launch_path, &lat.queue_wait, &lat.dispatch_gap, &lat.exec] {
+                assert_eq!(h.count, lat.tbs, "{ctx}: component count mismatch");
+            }
+            // The four components partition the lifetime exactly, in
+            // aggregate and therefore per TB (each is per-TB exact by
+            // telescoping; sums catch any miss).
+            assert_eq!(
+                lat.launch_path.sum + lat.queue_wait.sum + lat.dispatch_gap.sum + lat.exec.sum,
+                lat.lifetime.sum,
+                "{ctx}: components must sum to lifetime"
+            );
+            // Child splits partition the child histogram.
+            assert_eq!(
+                lat.bound_queue_wait.count + lat.stolen_queue_wait.count,
+                lat.child_queue_wait.count,
+                "{ctx}: bound/stolen must partition children"
+            );
+            assert_eq!(lat.child_queue_wait.count, 3, "{ctx}: 3 children expected");
+            // Depth rollup covers every TB.
+            let depth_total: u64 = lat.depth_queue_wait.iter().map(|(_, h)| h.count).sum();
+            assert_eq!(depth_total, lat.tbs, "{ctx}: depth rollup incomplete");
+            let kind_total: u64 = lat.kind_lifetime.iter().map(|(_, h)| h.count).sum();
+            assert_eq!(kind_total, lat.tbs, "{ctx}: kind rollup incomplete");
+            // Critical path: non-trivial on a nested run, internally
+            // exact, and bounded by the makespan.
+            let cp = &lat.critical_path;
+            assert_eq!(cp.len as usize, cp.chain.len(), "{ctx}: chain length mismatch");
+            assert!(cp.len >= 1, "{ctx}: empty critical path");
+            assert_eq!(
+                cp.queue_cycles + cp.exec_cycles,
+                cp.cycles,
+                "{ctx}: critical-path attribution must partition its weight"
+            );
+            assert!(cp.cycles <= stats.cycles, "{ctx}: path longer than the run");
+            // Chain is stored root-first: parents dispatch before
+            // their children.
+            for pair in cp.chain.windows(2) {
+                let d = |tb: &TbRef| {
+                    stats.tb_records.iter().find(|r| r.tb == *tb).unwrap().dispatched_at
+                };
+                assert!(d(&pair[0]) <= d(&pair[1]), "{ctx}: chain not root-first");
             }
         }
     }
 
     #[test]
-    fn latency_stats_bit_identical_across_engine_modes_and_fast_forward() {
-        let run = |mode: EngineMode, fast_forward: bool| {
+    fn latency_stats_bit_identical_across_engine_modes() {
+        let run = |mode: EngineMode| {
             let mut cfg = GpuConfig::small_test();
             cfg.engine_mode = mode;
-            cfg.fast_forward = fast_forward;
             cfg.profile_latency = true;
             let mut sim = Simulator::new(cfg, Box::new(NestedSource { launcher: 1, children: 3 }));
             sim.launch_host_kernel(KernelKindId(0), 0, 6, ResourceReq::new(64, 8, 0)).unwrap();
             sim.run_to_completion().unwrap().latency.expect("profiling on")
         };
-        let base = run(EngineMode::Event, true);
-        assert_eq!(base, run(EngineMode::Event, false));
-        assert_eq!(base, run(EngineMode::CycleStepped, true));
-        assert_eq!(base, run(EngineMode::CycleStepped, false));
+        assert_eq!(run(EngineMode::Event), run(EngineMode::CycleStepped));
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub trait DynamicLaunchModel: Send {
     /// The earliest cycle at which an in-flight launch matures, or
     /// `None` when nothing is in flight.
     ///
-    /// Used by the engine's idle-cycle fast-forward; the conservative
-    /// default (`Some(0)` whenever anything is in flight) merely
-    /// disables fast-forwarding while launches are pending.
+    /// Used by the event engine to schedule its next wake-up; the
+    /// conservative default (`Some(0)` whenever anything is in flight)
+    /// merely stops it skipping idle cycles while launches are pending.
     fn next_ready(&self) -> Option<Cycle> {
         if self.in_flight() == 0 {
             None

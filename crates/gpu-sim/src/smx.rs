@@ -165,7 +165,7 @@ pub struct Smx {
     /// Cycles in which at least one warp instruction issued.
     pub busy_cycles: u64,
     /// Stall cycles by cause; `busy_cycles + stall.total()` equals the
-    /// cycles this SMX was stepped (or fast-forward-credited) over.
+    /// cycles this SMX was stepped (or skipped by the event engine) over.
     stall: StallBreakdown,
     /// Cause charged for cycles `step` skips before `next_event`
     /// (recomputed by every full post-issue pass).
@@ -236,8 +236,8 @@ impl Smx {
     /// The earliest cycle at which this SMX can next make progress.
     ///
     /// [`step`](Self::step) is a no-op for any `now` strictly before this
-    /// (and for an empty SMX), which is what lets the engine fast-forward
-    /// over idle stretches without changing any statistics.
+    /// (and for an empty SMX), which is what lets the event engine skip
+    /// idle stretches without changing any statistics.
     pub fn next_event(&self) -> Cycle {
         self.next_event
     }
@@ -265,7 +265,8 @@ impl Smx {
     /// no bookkeeping, and the span since the last active step — during
     /// which nothing mutated, so the cause cannot have changed — is
     /// charged in bulk here and at the start of the next active step.
-    /// This also makes idle-cycle fast-forward accounting-free.
+    /// This also makes the event engine's idle-cycle skipping
+    /// accounting-free.
     pub fn stalls(&self, now: Cycle) -> StallBreakdown {
         let mut stalls = self.stall;
         stalls.add(self.wait_cause, now.saturating_sub(self.stall_anchor));

@@ -172,7 +172,7 @@ pub enum WakeSource {
     /// Quiescent-wedge jump: nothing can ever act again, so the engine
     /// jumped straight to the watchdog deadline to diagnose the wedge.
     WatchdogDeadline,
-    /// The engine fast-forwarded more than one cycle to reach this
+    /// The event engine skipped at least one idle cycle to reach this
     /// iteration; the jump length is recorded in
     /// [`EngineStats::jump_len`]. (The landing cycle's underlying cause
     /// is one of the sources above; the jump tag records that the
@@ -226,7 +226,7 @@ pub const ENGINE_HOST_COMPONENTS: [&str; 5] =
     ["launch_maturation", "kmu_dispatch", "tb_dispatch", "smx", "advance"];
 
 /// Engine introspection for one run: why the loop woke, how deep the
-/// event heap ran, how far fast-forward jumped, and where host
+/// event heap ran, how far idle-cycle skips jumped, and where host
 /// nanoseconds went. `Some` in [`SimStats::engine`] only when the run
 /// had [`GpuConfig::profile_engine`](crate::config::GpuConfig) set.
 ///
@@ -248,7 +248,7 @@ pub struct EngineStats {
     /// Due SMX wake-ups processed per event-loop iteration (empty in
     /// cycle-stepped mode).
     pub events_per_cycle: Pow2Hist,
-    /// Lengths of multi-cycle jumps (fast-forward and wedge jumps).
+    /// Lengths of multi-cycle jumps (idle skips and wedge jumps).
     pub jump_len: Pow2Hist,
     /// Host-time sampling stride: one in `host_sampling` iterations is
     /// timed with `Instant` spans.
@@ -713,7 +713,7 @@ pub struct SimStats {
     pub engine: Option<EngineStats>,
     /// Per-TB lifecycle latency attribution; `Some` only when the run
     /// had `GpuConfig::profile_latency` set. Machine-observing, so it
-    /// is bit-identical across engine modes and fast-forward settings.
+    /// is bit-identical across engine modes.
     pub latency: Option<LatencyStats>,
 }
 

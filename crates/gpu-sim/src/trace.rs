@@ -125,12 +125,12 @@ pub enum TraceEvent {
         /// The backup queue set it will drain.
         backup_set: u16,
     },
-    /// The engine fast-forwarded over a provably idle stretch.
+    /// The event engine skipped a provably idle stretch.
     ///
     /// Cycles in `from..to` were never stepped; no event can occur
-    /// within the jumped range, so a trace with fast-forward enabled is
-    /// identical to one without it *except* for these markers (asserted
-    /// by `tests/determinism.rs`).
+    /// within the jumped range, so an event-engine trace is identical
+    /// to a cycle-stepped one *except* for these markers (asserted by
+    /// `tests/determinism.rs`).
     FastForward {
         /// First skipped cycle.
         from: Cycle,

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use dynpar::{LaunchLatency, LaunchModelKind};
-use gpu_sim::config::GpuConfig;
+use gpu_sim::config::{EngineMode, GpuConfig};
 use gpu_sim::engine::Simulator;
 use gpu_sim::error::SimError;
 use gpu_sim::stats::MachineSample;
@@ -51,12 +51,12 @@ pub fn run_timeline(
     window: u64,
 ) -> Result<Vec<TimelinePoint>, SimError> {
     let window = window.max(1);
-    // Step cycle by cycle: fast-forward would jump over window
-    // boundaries and make the sampling grid depend on the workload's
-    // idle structure. Statistics are identical either way; only the
-    // sample spacing is at stake.
+    // Step cycle by cycle on the reference engine: the event engine
+    // would jump over window boundaries and make the sampling grid
+    // depend on the workload's idle structure. Statistics are identical
+    // either way; only the sample spacing is at stake.
     let mut cfg = cfg.clone();
-    cfg.fast_forward = false;
+    cfg.engine_mode = EngineMode::CycleStepped;
     let cfg = &cfg;
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
         .with_scheduler(scheduler.build(cfg))

@@ -1,7 +1,8 @@
 //! End-to-end determinism: the simulator is a pure function of its
-//! inputs, and the idle-cycle fast-forward optimization changes *no*
+//! inputs, and the event engine's idle-cycle skipping changes *no*
 //! observable statistic — it only skips cycles that would have been
-//! no-ops (see the "Performance" section of docs/ARCHITECTURE.md).
+//! no-ops, so every run matches the never-skipping cycle-stepped
+//! reference (see "Idle-cycle skipping" in docs/ARCHITECTURE.md).
 
 use std::sync::Arc;
 
@@ -16,16 +17,16 @@ use sim_metrics::harness::SchedulerKind;
 use workloads::{suite, Scale, SharedSource, Workload};
 
 /// Runs one workload to completion and returns its full statistics plus
-/// the number of cycles the engine fast-forwarded over.
+/// the number of idle cycles the engine skipped.
 fn run(
     w: &Arc<dyn Workload>,
     model: LaunchModelKind,
     sched: SchedulerKind,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> (SimStats, u64) {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
         .with_scheduler(sched.build(&cfg))
         .with_launch_model(model.build(LaunchLatency::default_for(model)));
@@ -41,11 +42,11 @@ fn run_traced(
     w: &Arc<dyn Workload>,
     model: LaunchModelKind,
     sched: SchedulerKind,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> (SimStats, Vec<TraceRecord>) {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     let sink = VecSink::new();
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
         .with_scheduler(sched.build(&cfg))
@@ -63,8 +64,8 @@ fn repeated_runs_are_bit_identical() {
     let all = suite(Scale::Tiny);
     for w in all.iter().take(3) {
         for sched in SchedulerKind::all() {
-            let (a, _) = run(w, LaunchModelKind::Dtbl, sched, true);
-            let (b, _) = run(w, LaunchModelKind::Dtbl, sched, true);
+            let (a, _) = run(w, LaunchModelKind::Dtbl, sched, EngineMode::Event);
+            let (b, _) = run(w, LaunchModelKind::Dtbl, sched, EngineMode::Event);
             assert_eq!(a, b, "{} under {sched} diverged between runs", w.full_name());
         }
     }
@@ -77,23 +78,23 @@ fn fast_forward_changes_no_statistic() {
     for w in all.iter().take(3) {
         for model in LaunchModelKind::all() {
             for sched in SchedulerKind::all() {
-                let (on, skipped) = run(w, model, sched, true);
-                let (off, none_skipped) = run(w, model, sched, false);
+                let (on, skipped) = run(w, model, sched, EngineMode::Event);
+                let (off, none_skipped) = run(w, model, sched, EngineMode::CycleStepped);
                 assert_eq!(
                     on,
                     off,
-                    "{} under {model}/{sched}: fast-forward changed the statistics",
+                    "{} under {model}/{sched}: skipping changed the statistics",
                     w.full_name()
                 );
-                assert_eq!(none_skipped, 0, "fast-forward ran while disabled");
+                assert_eq!(none_skipped, 0, "the cycle-stepped reference skipped a cycle");
                 total_skipped += skipped;
             }
         }
     }
-    // The invariant is only meaningful if the optimization actually
-    // engaged somewhere in the sweep (CDP launch latencies leave the
-    // machine idle while a child kernel matures).
-    assert!(total_skipped > 0, "fast-forward never skipped a cycle");
+    // The invariant is only meaningful if skipping actually engaged
+    // somewhere in the sweep (CDP launch latencies leave the machine
+    // idle while a child kernel matures).
+    assert!(total_skipped > 0, "the event engine never skipped a cycle");
 }
 
 /// [`run`] with finite launch-path limits under a chosen overflow
@@ -103,11 +104,11 @@ fn run_limited(
     model: LaunchModelKind,
     sched: SchedulerKind,
     policy: OverflowPolicy,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> (SimStats, u64) {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     cfg.launch_limits = LaunchLimits {
         kmu_capacity: Some(2),
         pending_launch_capacity: Some(2),
@@ -125,7 +126,7 @@ fn run_limited(
 }
 
 /// Backpressure determinism: with finite launch-path capacities under
-/// either overflow policy, fast-forward still changes no statistic —
+/// either overflow policy, skipping still changes no statistic —
 /// stalled parents, spilled launches, and backlogged kernels all resolve
 /// on the same cycles whether idle gaps were stepped or jumped.
 #[test]
@@ -136,17 +137,17 @@ fn finite_limits_are_fast_forward_invariant() {
     for w in all.iter().take(2) {
         for model in LaunchModelKind::all() {
             for policy in policies {
-                let (on, _) = run_limited(w, model, SchedulerKind::AdaptiveBind, policy, true);
-                let (off, skipped) =
-                    run_limited(w, model, SchedulerKind::AdaptiveBind, policy, false);
+                let sched = SchedulerKind::AdaptiveBind;
+                let (on, _) = run_limited(w, model, sched, policy, EngineMode::Event);
+                let (off, skipped) = run_limited(w, model, sched, policy, EngineMode::CycleStepped);
                 assert_eq!(
                     on,
                     off,
-                    "{} under {model}/{}: fast-forward changed statistics with finite limits",
+                    "{} under {model}/{}: skipping changed statistics with finite limits",
                     w.full_name(),
                     policy.name()
                 );
-                assert_eq!(skipped, 0, "fast-forward ran while disabled");
+                assert_eq!(skipped, 0, "the cycle-stepped reference skipped a cycle");
             }
         }
     }
@@ -160,64 +161,63 @@ fn finite_limit_runs_are_bit_identical() {
     let w = all.first().expect("non-empty suite");
     for policy in [OverflowPolicy::StallParent, OverflowPolicy::SpillVirtual { extra_latency: 200 }]
     {
-        let (a, _) = run_limited(w, LaunchModelKind::Dtbl, SchedulerKind::SmxBind, policy, true);
-        let (b, _) = run_limited(w, LaunchModelKind::Dtbl, SchedulerKind::SmxBind, policy, true);
+        let run = || {
+            let sched = SchedulerKind::SmxBind;
+            run_limited(w, LaunchModelKind::Dtbl, sched, policy, EngineMode::Event).0
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a, b, "{} diverged between runs", policy.name());
     }
 }
 
-/// Attaching a fault plan must not silently disable fast-forward: a
-/// faulted run whose launch latencies leave long idle stretches still
-/// skips them (the fault windows become wake-up edges, not an
-/// off-switch), and the skip changes no statistic — in either engine
-/// mode. Guards the regression where `with_fault_plan` cleared
-/// `cfg.fast_forward`.
+/// Attaching a fault plan must not silently disable skipping: a
+/// faulted event-engine run whose launch latencies leave long idle
+/// stretches still skips them (the fault windows become wake-up edges,
+/// not an off-switch), and the skip changes no statistic against the
+/// never-skipping reference.
 #[test]
 fn faulted_runs_keep_fast_forward_active() {
     let all = suite(Scale::Tiny);
     let w = all.first().expect("non-empty suite");
-    for engine in [EngineMode::Event, EngineMode::CycleStepped] {
-        let run = |fast_forward: bool| {
-            let mut cfg = GpuConfig::small_test();
-            cfg.num_smxs = 4;
-            cfg.engine_mode = engine;
-            cfg.fast_forward = fast_forward;
-            let model = LaunchModelKind::Cdp;
-            let plan = FaultPlan::new(vec![
-                Fault::QueueFull { from: 100, until: 3_000 },
-                Fault::KillSmx { smx: SmxId(1), from: 200, until: 9_000 },
-            ]);
-            let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
-                .with_scheduler(SchedulerKind::AdaptiveBind.build(&cfg))
-                .with_launch_model(model.build(LaunchLatency::default_for(model)))
-                .with_fault_plan(plan);
-            for hk in w.host_kernels() {
-                sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
-            }
-            let stats = sim.run_to_completion().expect("faulted run completes");
-            (stats, sim.fast_forwarded_cycles())
-        };
-        let (on, skipped) = run(true);
-        let (off, none_skipped) = run(false);
-        assert_eq!(on, off, "{engine}: fast-forward changed the statistics of a faulted run");
-        assert!(skipped > 0, "{engine}: fault plan silently disabled fast-forward");
-        assert_eq!(none_skipped, 0, "{engine}: fast-forward ran while disabled");
-    }
+    let run = |engine: EngineMode| {
+        let mut cfg = GpuConfig::small_test();
+        cfg.num_smxs = 4;
+        cfg.engine_mode = engine;
+        let model = LaunchModelKind::Cdp;
+        let plan = FaultPlan::new(vec![
+            Fault::QueueFull { from: 100, until: 3_000 },
+            Fault::KillSmx { smx: SmxId(1), from: 200, until: 9_000 },
+        ]);
+        let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
+            .with_scheduler(SchedulerKind::AdaptiveBind.build(&cfg))
+            .with_launch_model(model.build(LaunchLatency::default_for(model)))
+            .with_fault_plan(plan);
+        for hk in w.host_kernels() {
+            sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
+        }
+        let stats = sim.run_to_completion().expect("faulted run completes");
+        (stats, sim.fast_forwarded_cycles())
+    };
+    let (on, skipped) = run(EngineMode::Event);
+    let (off, none_skipped) = run(EngineMode::CycleStepped);
+    assert_eq!(on, off, "skipping changed the statistics of a faulted run");
+    assert!(skipped > 0, "fault plan silently disabled skipping");
+    assert_eq!(none_skipped, 0, "the cycle-stepped reference skipped a cycle");
 }
 
 #[test]
 fn fast_forward_preserves_trace_stream() {
     // Beyond the aggregate statistics: the *event stream* is identical
-    // with fast-forward on and off, modulo the FastForward markers the
-    // optimization itself emits. Every other event lands on the same
-    // cycle with the same payload.
+    // under both engines, modulo the FastForward markers the event
+    // engine's skips emit. Every other event lands on the same cycle
+    // with the same payload.
     let all = suite(Scale::Tiny);
     let mut jumps = 0;
     for w in all.iter().take(3) {
         for model in LaunchModelKind::all() {
             for sched in [SchedulerKind::RoundRobin, SchedulerKind::AdaptiveBind] {
-                let (_, on) = run_traced(w, model, sched, true);
-                let (_, off) = run_traced(w, model, sched, false);
+                let (_, on) = run_traced(w, model, sched, EngineMode::Event);
+                let (_, off) = run_traced(w, model, sched, EngineMode::CycleStepped);
                 jumps +=
                     on.iter().filter(|r| matches!(r.event, TraceEvent::FastForward { .. })).count();
                 let on_filtered: Vec<&TraceRecord> = on
@@ -226,7 +226,7 @@ fn fast_forward_preserves_trace_stream() {
                     .collect();
                 assert!(
                     !off.iter().any(|r| matches!(r.event, TraceEvent::FastForward { .. })),
-                    "FastForward emitted while disabled"
+                    "FastForward emitted by the cycle-stepped reference"
                 );
                 assert_eq!(on_filtered.len(), off.len());
                 for (a, b) in on_filtered.iter().zip(&off) {

@@ -1,10 +1,10 @@
-//! Cross-engine equivalence: the event-driven engine and the
-//! cycle-stepped engine are two executions of the *same* machine, and
-//! must be observationally indistinguishable. This suite samples random
+//! Cross-engine equivalence: the event-driven engine, which skips idle
+//! cycles, and the cycle-stepped reference, which steps every SMX on
+//! every cycle, are two executions of the *same* machine and must be
+//! observationally indistinguishable. This suite samples random
 //! configuration cells — workload × scheduler × launch model × optional
-//! fault seed × fast-forward flag × optional finite launch-path limits
-//! — runs each under both [`EngineMode`]s, and requires the outcomes to
-//! match exactly: completed runs produce equal [`SimStats`], failed
+//! fault seed × optional finite launch-path limits — runs each under
+//! both [`EngineMode`]s, and requires the outcomes to match exactly: completed runs produce equal [`SimStats`], failed
 //! runs produce the same error. A second test renders the full
 //! tiny-scale sweep document (`repro.json`) once per engine and
 //! compares the JSON byte-for-byte, mirroring the CI
@@ -48,7 +48,6 @@ struct Cell {
     model: LaunchModelKind,
     sched: SchedulerKind,
     fault_seed: Option<u64>,
-    fast_forward: bool,
     limits: Option<LaunchLimits>,
 }
 
@@ -75,9 +74,6 @@ fn sample_cell(rng: &mut XorShift64, num_workloads: usize) -> Cell {
         model: models[rng.pick(models.len())],
         sched: scheds[rng.pick(scheds.len())],
         fault_seed: rng.next().is_multiple_of(2).then(|| rng.next() % 64),
-        // Mostly on: skipping is where the engines' control flow
-        // diverges most, so it deserves the larger share of cells.
-        fast_forward: !rng.next().is_multiple_of(4),
         limits,
     }
 }
@@ -89,7 +85,6 @@ fn run_cell(w: &Arc<dyn Workload>, cell: &Cell, engine: EngineMode) -> Result<Si
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
     cfg.engine_mode = engine;
-    cfg.fast_forward = cell.fast_forward;
     // A wedged cell must fail structurally (and identically) in both
     // engines rather than spin to max_cycles.
     cfg.watchdog_window = Some(100_000);

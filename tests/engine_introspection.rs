@@ -5,7 +5,9 @@
 //! (c) observe the *engine*, not the simulation: the event engine and
 //! the cycle-stepped engine report identical `SimStats` for the same
 //! cell while their introspection legitimately differs (the event
-//! engine elides idle cycles, so it iterates fewer times).
+//! engine elides idle cycles, so it iterates fewer times), and (d)
+//! observe the engine `run_to_completion` runs, also when a caller
+//! drives it through `step()`.
 
 use std::sync::Arc;
 
@@ -17,21 +19,12 @@ use laperm_bench::sweep::SweepDoc;
 use sim_metrics::harness::SchedulerKind;
 use workloads::{suite, Scale, SharedSource, Workload};
 
-fn run(w: &Arc<dyn Workload>, engine: EngineMode, profile: bool) -> SimStats {
-    run_ff(w, engine, profile, true)
-}
-
-fn run_ff(
-    w: &Arc<dyn Workload>,
-    engine: EngineMode,
-    profile: bool,
-    fast_forward: bool,
-) -> SimStats {
+/// A launched, not yet started simulation of `w`.
+fn launched(w: &Arc<dyn Workload>, engine: EngineMode, profile: bool) -> Simulator {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
     cfg.engine_mode = engine;
     cfg.profile_engine = profile;
-    cfg.fast_forward = fast_forward;
     let model = LaunchModelKind::Dtbl;
     let sched = SchedulerKind::AdaptiveBind;
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
@@ -40,7 +33,11 @@ fn run_ff(
     for hk in w.host_kernels() {
         sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
     }
-    sim.run_to_completion().expect("run")
+    sim
+}
+
+fn run(w: &Arc<dyn Workload>, engine: EngineMode, profile: bool) -> SimStats {
+    launched(w, engine, profile).run_to_completion().expect("run")
 }
 
 /// Wake-source counts partition loop iterations exactly, in both
@@ -77,24 +74,22 @@ fn wake_sources_partition_iterations_in_both_engines() {
 
 /// Cross-engine: identical `SimStats` once the engine introspection is
 /// stripped, while the introspection itself differs — the event engine
-/// (fast-forward on) iterates strictly fewer times than a cycle-stepped
-/// engine with fast-forward off (which steps every single cycle), and
-/// only the event engine populates the heap histograms. Fast-forward is
-/// semantics-preserving, so even across that flag the simulated
-/// statistics must match.
+/// (which skips idle cycles) iterates strictly fewer times than the
+/// cycle-stepped reference (which steps every single cycle), and only
+/// the event engine populates the heap histograms.
 #[test]
 fn engines_agree_on_simulation_and_differ_in_introspection() {
     let all = suite(Scale::Tiny);
     let w = &all[0];
     let mut event = run(w, EngineMode::Event, true);
-    let mut stepped = run_ff(w, EngineMode::CycleStepped, true, false);
+    let mut stepped = run(w, EngineMode::CycleStepped, true);
     let event_eng = event.engine.take().expect("event engine stats");
     let stepped_eng = stepped.engine.take().expect("stepped engine stats");
     assert_eq!(event, stepped, "simulated statistics must not depend on the engine");
 
-    // Without fast-forward the cycle-stepped engine iterates once per
-    // cycle; the event engine skips idle stretches, so it must iterate
-    // less on a workload with launch-latency gaps.
+    // The cycle-stepped engine iterates once per cycle; the event
+    // engine skips idle stretches, so it must iterate less on a
+    // workload with launch-latency gaps.
     assert_eq!(stepped_eng.loop_iterations, stepped.cycles);
     assert_eq!(stepped_eng.jump_len.count, 0);
     assert!(
@@ -106,6 +101,29 @@ fn engines_agree_on_simulation_and_differ_in_introspection() {
     // Only the event engine has an event heap to observe.
     assert!(event_eng.heap_depth.count > 0);
     assert_eq!(stepped_eng.heap_depth.count, 0);
+}
+
+/// `step()` runs the configured engine: a manual `while !is_done()`
+/// loop over the default event engine produces exactly the statistics
+/// of `run_to_completion` — engine introspection included, so the heap
+/// the loop observed is the event engine's. Only the sampled host
+/// nanoseconds, which are wall-clock, are cleared before comparing.
+#[test]
+fn manual_step_loop_observes_the_event_engine() {
+    let all = suite(Scale::Tiny);
+    let w = &all[0];
+    let mut sim = launched(w, EngineMode::Event, true);
+    while !sim.is_done() {
+        sim.step().expect("step");
+    }
+    let mut stepped = sim.stats();
+    let mut ran = run(w, EngineMode::Event, true);
+    for stats in [&mut stepped, &mut ran] {
+        stats.engine.as_mut().expect("profiled run has engine stats").host_ns = [0; 5];
+    }
+    assert_eq!(stepped, ran, "step() and run_to_completion ran different engines");
+    let eng = stepped.engine.as_ref().expect("profiled run has engine stats");
+    assert!(eng.heap_depth.count > 0, "step() never touched the event heap");
 }
 
 /// Profiling is observational: the simulated statistics are bit-equal

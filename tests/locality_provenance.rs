@@ -2,33 +2,33 @@
 //! of a profiled run is attributed to exactly one lineage class, the
 //! profiler is purely observational (cycle counts and every other
 //! statistic are bit-identical with it on or off), it composes with the
-//! fast-forward optimization, and an unprofiled run's `repro.json`
+//! event engine's idle-cycle skipping, and an unprofiled run's `repro.json`
 //! record keeps the schema-v1 byte layout.
 
 use std::sync::Arc;
 
 use dynpar::{LaunchLatency, LaunchModelKind};
 use gpu_sim::cache::ReuseClass;
-use gpu_sim::config::GpuConfig;
+use gpu_sim::config::{EngineMode, GpuConfig};
 use gpu_sim::engine::Simulator;
 use gpu_sim::stats::SimStats;
 use sim_metrics::harness::{run_once, RunRecord, SchedulerKind};
 use sim_metrics::run_to_json;
 use workloads::{suite, Scale, SharedSource, Workload};
 
-/// Runs one workload to completion with explicit profiling and
-/// fast-forward settings.
+/// Runs one workload to completion with explicit profiling and engine
+/// settings.
 fn run(
     w: &Arc<dyn Workload>,
     model: LaunchModelKind,
     sched: SchedulerKind,
     profile: bool,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> SimStats {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
     cfg.profile_locality = profile;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
         .with_scheduler(sched.build(&cfg))
         .with_launch_model(model.build(LaunchLatency::default_for(model)));
@@ -45,7 +45,7 @@ fn every_hit_is_attributed_to_exactly_one_class() {
     for w in all.iter().take(3) {
         for model in LaunchModelKind::all() {
             for sched in SchedulerKind::all() {
-                let stats = run(w, model, sched, true, true);
+                let stats = run(w, model, sched, true, EngineMode::Event);
                 let name = w.full_name();
                 assert_eq!(
                     stats.l1.prov.total(),
@@ -86,8 +86,8 @@ fn profiling_is_observational() {
     let all = suite(Scale::Tiny);
     for w in all.iter().take(3) {
         for sched in [SchedulerKind::RoundRobin, SchedulerKind::AdaptiveBind] {
-            let on = run(w, LaunchModelKind::Dtbl, sched, true, true);
-            let off = run(w, LaunchModelKind::Dtbl, sched, false, true);
+            let on = run(w, LaunchModelKind::Dtbl, sched, true, EngineMode::Event);
+            let off = run(w, LaunchModelKind::Dtbl, sched, false, EngineMode::Event);
             assert!(on.locality.is_some() && off.locality.is_none());
             let mut blanked = on.clone();
             blanked.locality = None;
@@ -109,12 +109,12 @@ fn provenance_is_bit_identical_under_fast_forward() {
     for w in all.iter().take(3) {
         for model in LaunchModelKind::all() {
             for sched in [SchedulerKind::TbPri, SchedulerKind::SmxBind] {
-                let on = run(w, model, sched, true, true);
-                let off = run(w, model, sched, true, false);
+                let on = run(w, model, sched, true, EngineMode::Event);
+                let off = run(w, model, sched, true, EngineMode::CycleStepped);
                 assert_eq!(
                     on,
                     off,
-                    "{} under {model}/{sched}: fast-forward changed provenance",
+                    "{} under {model}/{sched}: idle-cycle skipping changed provenance",
                     w.full_name()
                 );
             }

@@ -1,12 +1,12 @@
 //! The stall-cause accounting invariant: every SMX cycle is attributed
 //! to exactly one bucket — busy, or one of the five `StallCause`s — so
-//! per SMX `busy + stalls.total() == cycles`, with or without idle-cycle
-//! fast-forward.
+//! per SMX `busy + stalls.total() == cycles`, whether the engine skips
+//! idle cycles (event) or steps every one (cycle-stepped).
 
 use std::sync::Arc;
 
 use dynpar::{LaunchLatency, LaunchModelKind};
-use gpu_sim::config::GpuConfig;
+use gpu_sim::config::{EngineMode, GpuConfig};
 use gpu_sim::engine::Simulator;
 use gpu_sim::stats::SimStats;
 use sim_metrics::harness::SchedulerKind;
@@ -16,11 +16,11 @@ fn run(
     w: &Arc<dyn Workload>,
     model: LaunchModelKind,
     sched: SchedulerKind,
-    fast_forward: bool,
+    engine: EngineMode,
 ) -> SimStats {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = 4;
-    cfg.fast_forward = fast_forward;
+    cfg.engine_mode = engine;
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
         .with_scheduler(sched.build(&cfg))
         .with_launch_model(model.build(LaunchLatency::default_for(model)));
@@ -36,8 +36,8 @@ fn every_smx_cycle_is_attributed() {
     for w in all.iter().take(3) {
         for model in LaunchModelKind::all() {
             for sched in SchedulerKind::all() {
-                for ff in [true, false] {
-                    let stats = run(w, model, sched, ff);
+                for engine in [EngineMode::Event, EngineMode::CycleStepped] {
+                    let stats = run(w, model, sched, engine);
                     assert_eq!(stats.smx_stalls.len(), stats.smx_busy_cycles.len());
                     for (i, (busy, stalls)) in
                         stats.smx_busy_cycles.iter().zip(&stats.smx_stalls).enumerate()
@@ -45,7 +45,7 @@ fn every_smx_cycle_is_attributed() {
                         assert_eq!(
                             busy + stalls.total(),
                             stats.cycles,
-                            "{} under {model}/{sched} (ff={ff}): SMX{i} attribution \
+                            "{} under {model}/{sched} ({engine}): SMX{i} attribution \
                              {busy} busy + {} stalled != {} cycles ({stalls:?})",
                             w.full_name(),
                             stalls.total(),
@@ -62,7 +62,7 @@ fn every_smx_cycle_is_attributed() {
 fn stall_mix_reflects_workload_behavior() {
     let all = suite(Scale::Tiny);
     let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs in suite");
-    let stats = run(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, true);
+    let stats = run(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, EngineMode::Event);
     let total = stats.total_stalls();
     // A graph traversal with global-memory loads must stall on memory
     // somewhere, and scoreboard waits (ALU latency) are unavoidable.
