@@ -43,33 +43,43 @@
 //! (default: all cores). Output is bit-identical for any N; only the
 //! stderr progress interleaving differs.
 //!
-//! `--engine` selects the simulation engine for `all` (default:
-//! `event`, the discrete-event engine that skips idle cycles;
-//! `cycle-stepped` is the reference linear scan that steps every SMX
-//! on every cycle and never skips one). Any other value exits 2. The
-//! CI `engine-equivalence` job runs `all` once per engine and diffs
-//! the two `repro.json` documents byte-for-byte.
+//! The matrix subcommands — `all`, `fig7`, `fig8`, `fig9`, `locality`,
+//! `csv`, `profile` and `latency` — run the evaluation matrix through
+//! one resilient sweep, so the sweep flags below apply to every one of
+//! them.
 //!
-//! `--programs` selects the program-generation path for `all` (default:
+//! `--engine` selects the simulation engine (default: `event`, the
+//! discrete-event engine that skips idle cycles; `cycle-stepped` is the
+//! reference linear scan that steps every SMX on every cycle and never
+//! skips one). The CI `engine-equivalence` job runs `all` once per
+//! engine and diffs the two `repro.json` documents byte-for-byte.
+//!
+//! `--programs` selects the program-generation path (default:
 //! generator). `dsl` serves every suite workload from its DSL port
 //! compiled to bytecode; programs are byte-identical across paths, so
 //! the CI `dsl-differential` job runs `all` once per path and diffs the
 //! two `repro.json` documents byte-for-byte.
 //!
-//! Resilience flags for `all` (see docs/ARCHITECTURE.md, "Resilient
-//! sweeps"): `--cache-dir DIR` persists every completed cell to a
-//! checksummed journal and resumes from it (a crashed sweep recomputes
-//! only what it lost; corrupt or torn records are detected and
-//! recomputed, never served); `--retries N` retries a failed cell with
-//! deterministic exponential backoff (`--retry-backoff-ms`, default
-//! 100) before recording a permanent failure; `--cell-deadline CYCLES`
-//! caps each cell's forward-progress watchdog window. A partial sweep
-//! renders a `DEGRADED (k/N cells failed)` banner and failures table
-//! instead of aborting. Without `--cache-dir`, output is byte-identical
-//! to the resilience-free executor. The undocumented
+//! Resilience flags (see docs/ARCHITECTURE.md, "Resilient sweeps"):
+//! `--cache-dir DIR` persists every completed cell to a checksummed
+//! journal and resumes from it (a crashed sweep recomputes only what it
+//! lost; corrupt or torn records are detected and recomputed, never
+//! served); `--retries N` retries a failed cell with deterministic
+//! exponential backoff (`--retry-backoff-ms`, default 100) before
+//! recording a permanent failure; `--cell-deadline CYCLES` caps each
+//! cell's forward-progress watchdog window. A partial sweep prints a
+//! `FAILED` line per failed cell on stderr, renders a `DEGRADED (k/N
+//! cells failed)` banner and failures table ahead of the report over
+//! the surviving cells, and exits 1. Without `--cache-dir`, output is
+//! byte-identical to the resilience-free executor. The undocumented
 //! `--kill-after-cells N` hard-kills the process after N cells are
 //! committed to the cache — the CI `sweep-resilience` job's crash
 //! injection.
+//!
+//! An unknown experiment, or a flag value outside its valid set
+//! (`--scale`, `--engine`, `--programs`, a non-integer count), exits 2
+//! naming the valid choices, as does a sweep that cannot start (a DSL
+//! port that fails to compile, an unusable `--cache-dir`).
 //!
 //! `repro check` exit codes: 0 every assertion passed; 1 assertion
 //! violation(s) on a healthy document; 2 degraded input (the document
@@ -81,12 +91,12 @@
 use std::sync::Arc;
 
 use gpu_sim::config::{EngineMode, GpuConfig};
-use laperm_bench::sweep::{matrix_cells_for, run_matrix_cells};
+use laperm_bench::sweep::{footprint_rows, matrix_cells_for, run_matrix_cells, sweep_config};
 use laperm_bench::{
     ablate, check_document, default_jobs, fig2, fig7, fig8, fig9, figure4, full_report, generality,
-    latency_report, locality, overhead, profile, render_check_report, run_matrix_with_jobs,
-    saturation, sweep_cache, table1, table2, timeline, variance, CheckVerdict, MatrixRecords,
-    ProgramPath, Resilience, SweepDoc,
+    latency_report, locality, overhead, profile, render_check_report, saturation, suite_for_path,
+    sweep_cache, table1, table2, timeline, variance, CheckVerdict, MatrixRecords, ProgramPath,
+    Resilience, SweepDoc,
 };
 use wdsl::{CompiledWorkload, ExecMode};
 use workloads::{Scale, Workload};
@@ -116,8 +126,8 @@ fn parse_args() -> Args {
         Some("small") => Scale::Small,
         Some("paper") | None => Scale::Paper,
         Some(other) => {
-            eprintln!("unknown scale {other}; using paper");
-            Scale::Paper
+            eprintln!("unknown scale {other}; choose tiny, ci, small or paper");
+            std::process::exit(2);
         }
     };
     let jobs = match value_of("--jobs") {
@@ -166,24 +176,36 @@ fn parse_args() -> Args {
     Args { experiment, operand, scale, jobs, json_path, engine, programs, resilience }
 }
 
-/// `repro all`: the full sweep. Writes `repro.json`, prints the text
-/// report, and exits nonzero if any matrix cell failed.
-fn run_all(args: &Args) {
-    let path = args.json_path.as_deref().unwrap_or("repro.json");
-    let (doc, report) = SweepDoc::build_resilient(
-        args.scale,
-        0,
-        args.jobs,
-        args.engine,
-        args.programs,
-        &args.resilience,
-    )
-    .unwrap_or_else(|e| {
+/// Runs a matrix subcommand: sweeps the evaluation matrix through the
+/// resilient executor `repro all` uses (honouring `--engine`,
+/// `--programs` and the resilience flags), writes the document to
+/// `json` when given, and prints `render`'s report over the completed
+/// records. `profiled` turns on engine introspection and latency
+/// attribution. Failed cells print as `FAILED` lines and a `DEGRADED`
+/// banner ahead of the report, then the process exits 1.
+fn run_matrix_command(
+    args: &Args,
+    profiled: bool,
+    json: Option<&str>,
+    render: impl FnOnce(&MatrixRecords) -> String,
+) {
+    let fatal = |e: String| -> ! {
         eprintln!("{e}");
         std::process::exit(2);
-    });
-    std::fs::write(path, doc.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
+    };
+    let suite = suite_for_path(args.scale, 0, args.programs).unwrap_or_else(|e| fatal(e));
+    let cfg = sweep_config(args.engine, profiled);
+    let (mut doc, report) =
+        SweepDoc::build_matrix(args.scale, 0, args.jobs, &cfg, &suite, &args.resilience)
+            .unwrap_or_else(|e| fatal(e));
+    // Only the written document carries Figure 2's footprint rows; the
+    // reports recompute what they print.
+    if let Some(path) = json {
+        doc.footprints = footprint_rows(&suite, args.jobs);
+        std::fs::write(path, doc.to_json())
+            .unwrap_or_else(|e| fatal(format!("cannot write {path}: {e}")));
+        eprintln!("wrote {path}");
+    }
     if args.resilience.cache_dir.is_some() {
         if let Some(damage) = &report.journal_damage {
             eprintln!("cell journal damage repaired: {damage}; dropped records were recomputed");
@@ -193,58 +215,17 @@ fn run_all(args: &Args) {
             report.cache_hits, report.cache_misses, report.committed
         );
     }
-    let failed = !doc.failures.is_empty();
     for f in &doc.failures {
         eprintln!("FAILED {}/{}/{}: {}", f.workload, f.launch_model, f.scheduler, f.error);
     }
     // A partial sweep degrades instead of aborting: the banner and
     // failures table lead the report, the surviving cells still render.
-    if let Some(banner) = doc.degraded_banner() {
+    let banner = doc.degraded_banner();
+    if let Some(banner) = &banner {
         print!("{banner}");
     }
-    let m = MatrixRecords::from_records(doc.records);
-    print!("{}", full_report(args.scale, args.jobs, &m));
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// `repro profile`: reruns the evaluation matrix with engine
-/// introspection on and prints the wake-source decomposition. The
-/// profiled document defaults to `repro_profile.json` so it never
-/// clobbers the `repro all` artifact (whose byte-identity the
-/// `engine-equivalence` CI job depends on); run `repro check --json
-/// repro_profile.json` afterwards to bind the engine shape assertions.
-fn run_profile(args: &Args) {
-    let path = args.json_path.as_deref().unwrap_or("repro_profile.json");
-    let doc = SweepDoc::build_profiled(args.scale, 0, args.jobs, args.engine);
-    std::fs::write(path, doc.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("wrote {path}");
-    let failed = !doc.failures.is_empty();
-    for f in &doc.failures {
-        eprintln!("FAILED {}/{}/{}: {}", f.workload, f.launch_model, f.scheduler, f.error);
-    }
-    let m = MatrixRecords::from_records(doc.records);
-    print!("{}", profile(&m));
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// `repro latency`: the Section IV-D launch-latency sensitivity sweep
-/// followed by the TB lifecycle attribution and critical-path tables,
-/// which rerun the matrix with latency profiling on. Nothing is written
-/// to disk — the profiled `repro.json` artifact comes from `repro
-/// profile`, whose document now also carries the latency objects.
-fn run_latency(args: &Args) {
-    let doc = SweepDoc::build_profiled(args.scale, 0, args.jobs, args.engine);
-    let failed = !doc.failures.is_empty();
-    for f in &doc.failures {
-        eprintln!("FAILED {}/{}/{}: {}", f.workload, f.launch_model, f.scheduler, f.error);
-    }
-    let m = MatrixRecords::from_records(doc.records);
-    print!("{}", latency_report(args.scale, args.jobs, &m));
-    if failed {
+    print!("{}", render(&MatrixRecords::from_records(doc.records)));
+    if banner.is_some() {
         std::process::exit(1);
     }
 }
@@ -337,30 +318,35 @@ fn main() {
         "table2" => println!("{}", table2(args.scale)),
         "fig2" => println!("{}", fig2(args.scale, args.jobs)),
         "fig4" => println!("{}", figure4()),
-        "fig7" | "fig8" | "fig9" | "locality" => {
-            let m = run_matrix_with_jobs(args.scale, args.jobs);
-            let report = match args.experiment.as_str() {
-                "fig7" => fig7(&m),
-                "fig8" => fig8(&m),
-                "fig9" => fig9(&m),
-                _ => locality(&m),
-            };
-            println!("{report}");
+        "fig7" => run_matrix_command(&args, false, None, |m| format!("{}\n", fig7(m))),
+        "fig8" => run_matrix_command(&args, false, None, |m| format!("{}\n", fig8(m))),
+        "fig9" => run_matrix_command(&args, false, None, |m| format!("{}\n", fig9(m))),
+        "locality" => run_matrix_command(&args, false, None, |m| format!("{}\n", locality(m))),
+        "latency" => {
+            run_matrix_command(&args, true, None, |m| latency_report(args.scale, args.jobs, m))
         }
-        "latency" => run_latency(&args),
         "timeline" => println!("{}", timeline(args.scale, args.jobs)),
         "variance" => println!("{}", variance(args.scale, args.jobs)),
-        "csv" => {
-            let m = run_matrix_with_jobs(args.scale, args.jobs);
-            print!("{}", sim_metrics::export::runs_to_csv(m.records()));
-        }
+        "csv" => run_matrix_command(&args, false, None, |m| {
+            sim_metrics::export::runs_to_csv(m.records())
+        }),
         "cache" => println!("{}", sweep_cache(args.scale, args.jobs)),
         "saturation" => println!("{}", saturation(args.scale, args.jobs)),
         "generality" => println!("{}", generality(args.scale, args.jobs)),
         "overhead" => println!("{}", overhead(args.scale, args.jobs)),
         "ablate" => println!("{}", ablate(args.scale, args.jobs)),
-        "all" => run_all(&args),
-        "profile" => run_profile(&args),
+        // The profiled document never clobbers the `repro all` artifact,
+        // whose byte-identity the `engine-equivalence` CI job depends
+        // on; `repro check --json repro_profile.json` binds the engine
+        // and latency shape assertions against it.
+        "all" => {
+            let path = args.json_path.as_deref().unwrap_or("repro.json");
+            run_matrix_command(&args, false, Some(path), |m| full_report(args.scale, args.jobs, m))
+        }
+        "profile" => {
+            let path = args.json_path.as_deref().unwrap_or("repro_profile.json");
+            run_matrix_command(&args, true, Some(path), profile)
+        }
         "check" => run_check(&args),
         "dsl" => run_dsl(&args),
         other => {

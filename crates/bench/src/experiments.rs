@@ -62,36 +62,6 @@ impl MatrixRecords {
     }
 }
 
-/// Runs the full evaluation matrix at a scale on all available cores.
-/// See [`run_matrix_with_jobs`].
-///
-/// # Panics
-///
-/// Panics if any simulation fails (the suite is validated by tests).
-pub fn run_matrix(scale: Scale) -> MatrixRecords {
-    run_matrix_with_jobs(scale, crate::sweep::default_jobs())
-}
-
-/// Runs the full evaluation matrix at a scale on `jobs` workers,
-/// printing progress to stderr. The result order (and every number) is
-/// deterministic regardless of job count and thread scheduling.
-///
-/// # Panics
-///
-/// Panics if any simulation fails (the suite is validated by tests).
-pub fn run_matrix_with_jobs(scale: Scale, jobs: usize) -> MatrixRecords {
-    // Locality provenance is observational (cycle counts are bit-identical
-    // either way), so the matrix always profiles: the figures stay the same
-    // and the locality section / shape assertions get their data.
-    let mut cfg = GpuConfig::kepler_k20c();
-    cfg.profile_locality = true;
-    let outcome = crate::sweep::run_matrix_jobs(scale, 0, jobs, &cfg);
-    if let Some(f) = outcome.failures.first() {
-        panic!("{} under {}/{} failed: {}", f.workload, f.launch_model, f.scheduler, f.error);
-    }
-    MatrixRecords { records: outcome.records }
-}
-
 /// Table I: the simulated GPU configuration.
 pub fn table1() -> String {
     let cfg = GpuConfig::kepler_k20c();

@@ -2,10 +2,10 @@
 //!
 //! Each function regenerates one table or figure of the paper as a
 //! formatted text report (see DESIGN.md for the experiment index). The
-//! `repro` binary exposes them as subcommands; the `hotloop` binary
-//! measures wall-clock simulation throughput (see [`hotloop`]); the
-//! `sweepbench` binary measures sweep scaling over `--jobs` (see
-//! [`sweep`]).
+//! `repro` binary exposes them as subcommands, and every matrix
+//! subcommand runs the evaluation matrix through the one resilient
+//! sweep ([`SweepDoc::build_matrix`]). Wall-clock throughput is
+//! measured by the separate `perfbench` package at the repository root.
 //!
 //! * [`sweep`] — work-queue executor fanning independent simulations
 //!   over cores, plus the `repro.json` document it emits.
@@ -21,15 +21,14 @@
 
 pub mod experiments;
 pub mod fig4;
-pub mod hotloop;
 pub mod resilience;
 pub mod shapes;
 pub mod sweep;
 
 pub use experiments::{
     ablate, fig2, fig7, fig8, fig9, full_report, generality, latency_attribution, latency_report,
-    latency_sweep, locality, overhead, profile, run_matrix, run_matrix_with_jobs, saturation,
-    sweep_cache, table1, table2, timeline, variance, MatrixRecords,
+    latency_sweep, locality, overhead, profile, saturation, sweep_cache, table1, table2, timeline,
+    variance, MatrixRecords,
 };
 pub use fig4::figure4;
 pub use resilience::{

@@ -200,14 +200,6 @@ pub fn matrix_cells_for(workloads: &[Arc<dyn Workload>]) -> Vec<MatrixCell> {
     cells
 }
 
-/// Runs the full evaluation matrix on `jobs` workers, with progress to
-/// stderr. Every record (and the order of `records`) is deterministic
-/// for any `jobs`; only the stderr progress interleaving varies.
-pub fn run_matrix_jobs(scale: Scale, seed: u64, jobs: usize, cfg: &GpuConfig) -> SweepOutcome {
-    let cells = matrix_cells(scale, seed);
-    run_matrix_cells(&cells, jobs, cfg)
-}
-
 /// Runs an explicit cell list (the building block tests use to sweep
 /// subsets quickly). This is the default-policy entry into the
 /// resilient executor: no cache, no retries, no deadline — behavior
@@ -270,60 +262,66 @@ pub struct SweepDoc {
 /// attempts the resilient executor spent on it).
 pub const SWEEP_SCHEMA_VERSION: u64 = 6;
 
-impl SweepDoc {
-    /// Runs the matrix and the static footprint analysis at a scale and
-    /// assembles the document. Both phases fan out over `jobs` workers.
-    /// Locality provenance profiling is on: it is observational (cycle
-    /// counts are bit-identical with it off), and having the provenance
-    /// split in every `repro.json` is what lets `repro check` assert the
-    /// *mechanism* — which scheduling relation produced the hits — not
-    /// just the headline rates.
-    pub fn build(scale: Scale, seed: u64, jobs: usize) -> SweepDoc {
-        Self::build_with_engine(scale, seed, jobs, EngineMode::Event)
-    }
+/// The configuration every matrix cell of a sweep runs under: the
+/// Table I machine on `engine_mode`. Locality provenance profiling is
+/// always on: it is observational (cycle counts are bit-identical with
+/// it off), and having the provenance split in every `repro.json` is
+/// what lets `repro check` assert the *mechanism* — which scheduling
+/// relation produced the hits — not just the headline rates.
+/// `profiled` also turns on engine introspection and latency
+/// attribution (see [`SweepDoc::build_profiled`]).
+pub fn sweep_config(engine_mode: EngineMode, profiled: bool) -> GpuConfig {
+    let mut cfg = GpuConfig::kepler_k20c();
+    cfg.profile_locality = true;
+    cfg.engine_mode = engine_mode;
+    cfg.profile_engine = profiled;
+    cfg.profile_latency = profiled;
+    cfg
+}
 
-    /// [`SweepDoc::build`] on an explicit engine mode. The CI
-    /// `engine-equivalence` job builds the ci-scale document once per
-    /// mode and diffs the rendered JSON byte-for-byte: the document
-    /// carries no wall-clock fields, so any divergence is a real
-    /// statistics difference between the engines.
-    pub fn build_with_engine(
-        scale: Scale,
-        seed: u64,
-        jobs: usize,
-        engine_mode: EngineMode,
-    ) -> SweepDoc {
-        match Self::build_with_programs(scale, seed, jobs, engine_mode, ProgramPath::Generator) {
-            Ok(doc) => doc,
-            // The generator path never fails to build its suite.
-            Err(e) => panic!("generator suite failed: {e}"),
+/// Figure 2's shared-footprint ratios for every workload, fanned out
+/// over `jobs` workers: the document half of a sweep that simulates
+/// nothing.
+pub fn footprint_rows(all: &[Arc<dyn Workload>], jobs: usize) -> Vec<FootprintRow> {
+    parallel_map(all, jobs, |w| {
+        let a = FootprintAnalysis::analyze(w.as_ref());
+        FootprintRow {
+            workload: a.workload,
+            parent_child: a.parent_child,
+            child_sibling: a.child_sibling,
+            parent_parent: a.parent_parent,
+        }
+    })
+}
+
+impl SweepDoc {
+    /// The defaults-only sweep: the event engine on the generator path
+    /// under the default resilience policy, matrix and footprint rows
+    /// both fanned out over `jobs` workers.
+    pub fn build(scale: Scale, seed: u64, jobs: usize) -> SweepDoc {
+        match Self::build_resilient(
+            scale,
+            seed,
+            jobs,
+            EngineMode::Event,
+            ProgramPath::Generator,
+            &Resilience::default(),
+        ) {
+            Ok((doc, _)) => doc,
+            // The generator path never fails to build its suite, and the
+            // default policy configures no cache.
+            Err(e) => panic!("default sweep setup failed: {e}"),
         }
     }
 
-    /// [`SweepDoc::build_with_engine`] on an explicit program path. The
-    /// document carries no record of the path: programs are
-    /// byte-identical across paths, so the rendered JSON must be too —
-    /// the CI `dsl-differential` job builds the ci-scale document once
-    /// per path and diffs the bytes.
-    ///
-    /// # Errors
-    ///
-    /// The DSL path reports suite compilation failures.
-    pub fn build_with_programs(
-        scale: Scale,
-        seed: u64,
-        jobs: usize,
-        engine_mode: EngineMode,
-        path: ProgramPath,
-    ) -> Result<SweepDoc, String> {
-        Self::build_resilient(scale, seed, jobs, engine_mode, path, &Resilience::default())
-            .map(|(doc, _)| doc)
-    }
-
-    /// [`SweepDoc::build_with_programs`] under an explicit resilience
-    /// policy: cell cache, retries, per-cell deadline, and (in tests)
-    /// harness-level fault injection. Also returns what the policy did
-    /// — cache hits/misses, journal damage repaired, retries spent.
+    /// The full `repro.json` document — matrix plus footprint rows — on
+    /// an explicit engine mode and program path under an explicit
+    /// resilience policy: cell cache, retries, per-cell deadline, and (in
+    /// tests) harness-level fault injection. Also returns what the
+    /// policy did — cache hits/misses, journal damage repaired, retries
+    /// spent. The document records neither the engine nor the path, so
+    /// the CI `engine-equivalence` and `dsl-differential` jobs diff the
+    /// rendered JSON byte-for-byte across them.
     ///
     /// # Errors
     ///
@@ -338,15 +336,11 @@ impl SweepDoc {
         path: ProgramPath,
         res: &Resilience,
     ) -> Result<(SweepDoc, ResilienceReport), String> {
-        Self::build_inner(
-            scale,
-            seed,
-            jobs,
-            engine_mode,
-            false,
-            suite_for_path(scale, seed, path)?,
-            res,
-        )
+        let all = suite_for_path(scale, seed, path)?;
+        let cfg = sweep_config(engine_mode, false);
+        let (mut doc, report) = Self::build_matrix(scale, seed, jobs, &cfg, &all, res)?;
+        doc.footprints = footprint_rows(&all, jobs);
+        Ok((doc, report))
     }
 
     /// [`SweepDoc::build`] with engine introspection and latency
@@ -363,54 +357,46 @@ impl SweepDoc {
         jobs: usize,
         engine_mode: EngineMode,
     ) -> SweepDoc {
-        match Self::build_inner(
-            scale,
-            seed,
-            jobs,
-            engine_mode,
-            true,
-            suite_seeded(scale, seed),
-            &Resilience::default(),
-        ) {
-            Ok((doc, _)) => doc,
+        let all = suite_seeded(scale, seed);
+        let cfg = sweep_config(engine_mode, true);
+        match Self::build_matrix(scale, seed, jobs, &cfg, &all, &Resilience::default()) {
+            Ok((mut doc, _)) => {
+                doc.footprints = footprint_rows(&all, jobs);
+                doc
+            }
             // The default policy configures no cache, so setup is
             // infallible.
             Err(e) => panic!("profiled sweep setup failed: {e}"),
         }
     }
 
-    fn build_inner(
+    /// The matrix half of a sweep: every workload of `all` under both
+    /// launch models and all four schedulers, run on `cfg` through the
+    /// resilient executor, with no footprint rows (the figure
+    /// subcommands never print them). The cell cache keys on the scale
+    /// and seed, so `all` must be the suite they generate.
+    ///
+    /// # Errors
+    ///
+    /// Reports cache-directory or journal I/O setup errors; per-cell
+    /// failures land in the document's `failures`.
+    pub fn build_matrix(
         scale: Scale,
         seed: u64,
         jobs: usize,
-        engine_mode: EngineMode,
-        profile_engine: bool,
-        all: Vec<Arc<dyn Workload>>,
+        cfg: &GpuConfig,
+        all: &[Arc<dyn Workload>],
         res: &Resilience,
     ) -> Result<(SweepDoc, ResilienceReport), String> {
-        let mut cfg = GpuConfig::kepler_k20c();
-        cfg.profile_locality = true;
-        cfg.engine_mode = engine_mode;
-        cfg.profile_engine = profile_engine;
-        cfg.profile_latency = profile_engine;
-        let cells = matrix_cells_for(&all);
+        let cells = matrix_cells_for(all);
         let sweep_tag = format!("{}/{seed}", scale.name());
-        let (outcome, report) = run_matrix_cells_resilient(&cells, jobs, &cfg, &sweep_tag, res)?;
-        let footprints = parallel_map(&all, jobs, |w| {
-            let a = FootprintAnalysis::analyze(w.as_ref());
-            FootprintRow {
-                workload: a.workload,
-                parent_child: a.parent_child,
-                child_sibling: a.child_sibling,
-                parent_parent: a.parent_parent,
-            }
-        });
+        let (outcome, report) = run_matrix_cells_resilient(&cells, jobs, cfg, &sweep_tag, res)?;
         let doc = SweepDoc {
             scale: scale.name().to_string(),
             seed,
             records: outcome.records,
             failures: outcome.failures,
-            footprints,
+            footprints: Vec::new(),
         };
         Ok((doc, report))
     }

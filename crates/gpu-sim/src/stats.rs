@@ -7,7 +7,7 @@ use crate::types::{BatchId, Cycle, Priority, SmxId, TbRef};
 /// A power-of-two-bucket histogram of `u64` values: bucket 0 holds the
 /// value 0, bucket `i` holds values in `[2^(i-1), 2^i)`. Fixed-size and
 /// allocation-free so it can live inside the simulator's hot state; the
-/// metrics registry converts it into its own `Histogram` for export.
+/// metrics registry stores it as is for export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pow2Hist {
     /// Bucket counts (see type docs for the bucket boundaries).
@@ -75,6 +75,16 @@ impl Pow2Hist {
             }
         }
         self.max
+    }
+
+    /// Non-empty buckets as `(inclusive upper bound, count)` pairs.
+    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| (Self::bucket_hi(i), n))
+            .collect()
     }
 
     /// Accumulates another histogram into this one.

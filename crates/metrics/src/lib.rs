@@ -41,5 +41,5 @@ pub use harness::{run_once, LocalityRecord, RunRecord, SchedulerKind};
 pub use journal::{fnv1a64, read_journal, JournalDamage, JournalRead, JournalWriter};
 pub use json::{run_from_json, run_to_json, Json};
 pub use perfetto::{perfetto_json, validate_trace, TraceCheck};
-pub use registry::{registry_for_run, Histogram, MetricsRegistry};
+pub use registry::{registry_for_run, MetricsRegistry};
 pub use timeline::{run_timeline, TimelinePoint};

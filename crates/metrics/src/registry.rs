@@ -1,8 +1,9 @@
 //! A lightweight counter/gauge/histogram registry.
 //!
 //! One [`MetricsRegistry`] collects everything a run wants to report:
-//! monotonically accumulated counters, point-in-time gauges, and
-//! [`Histogram`]s with fixed power-of-two buckets (so recording is two
+//! monotonically accumulated counters, point-in-time gauges, and the
+//! simulator's own [`Pow2Hist`] histograms with fixed power-of-two
+//! buckets (so recording is two
 //! instructions and the memory footprint is constant, no matter how many
 //! samples go in). The harness, timeline, Perfetto exporter, and the
 //! `laperm-trace` CLI all speak this one vocabulary; [`registry_for_run`]
@@ -15,117 +16,12 @@ use gpu_sim::cache::ReuseClass;
 use gpu_sim::stats::{Pow2Hist, SimStats, WakeSource, ENGINE_HOST_COMPONENTS};
 use gpu_sim::trace::{TraceEvent, TraceRecord};
 
-/// A histogram with fixed power-of-two buckets.
-///
-/// Bucket 0 counts the value 0; bucket `i >= 1` counts values in
-/// `[2^(i-1), 2^i)`. With 65 buckets every `u64` is representable, so
-/// [`record`](Self::record) never reallocates or saturates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram { buckets: [0; 65], count: 0, sum: 0, max: 0 }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Imports a simulator-side [`Pow2Hist`]. Both types use the same
-    /// bucket rule (bucket 0 holds the value 0, bucket `i >= 1` holds
-    /// `[2^(i-1), 2^i)`), so the copy is lossless.
-    pub fn from_pow2(h: &Pow2Hist) -> Self {
-        Histogram { buckets: h.buckets, count: h.count, sum: h.sum, max: h.max }
-    }
-
-    fn bucket_of(value: u64) -> usize {
-        64 - value.leading_zeros() as usize
-    }
-
-    /// The inclusive upper bound of bucket `i` (its label).
-    fn bucket_hi(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            (1u64 << i).wrapping_sub(1).max(1u64 << (i - 1))
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample recorded (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// An upper bound on the `q`-quantile (`0.0..=1.0`): the top of the
-    /// first bucket at which the cumulative count reaches `q * count`.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let threshold = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= threshold {
-                return Self::bucket_hi(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Non-empty buckets as `(inclusive upper bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_hi(i), c))
-            .collect()
-    }
-}
-
 /// A named collection of counters, gauges, and histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, Pow2Hist>,
 }
 
 impl MetricsRegistry {
@@ -145,7 +41,7 @@ impl MetricsRegistry {
     }
 
     /// The histogram `name`, created empty on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
+    pub fn histogram(&mut self, name: &str) -> &mut Pow2Hist {
         self.histograms.entry(name.to_string()).or_default()
     }
 
@@ -160,7 +56,7 @@ impl MetricsRegistry {
     }
 
     /// Reads a histogram.
-    pub fn histogram_value(&self, name: &str) -> Option<&Histogram> {
+    pub fn histogram_value(&self, name: &str) -> Option<&Pow2Hist> {
         self.histograms.get(name)
     }
 
@@ -177,11 +73,11 @@ impl MetricsRegistry {
         for (name, h) in &self.histograms {
             out.push_str(&format!(
                 "{name:<32}count {} / mean {:.1} / p50 <= {} / p99 <= {} / max {}\n",
-                h.count(),
+                h.count,
                 h.mean(),
-                h.quantile_upper_bound(0.5),
-                h.quantile_upper_bound(0.99),
-                h.max(),
+                h.percentile(0.5),
+                h.percentile(0.99),
+                h.max,
             ));
         }
         out
@@ -213,9 +109,9 @@ impl MetricsRegistry {
                 h.nonzero_buckets().iter().map(|(hi, c)| format!("[{hi}, {c}]")).collect();
             out.push_str(&format!(
                 "    \"{name}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                h.count(),
-                h.sum(),
-                h.max(),
+                h.count,
+                h.sum,
+                h.max,
                 buckets.join(", ")
             ));
             first = false;
@@ -280,13 +176,11 @@ pub fn registry_for_run(stats: &SimStats, records: &[TraceRecord]) -> MetricsReg
             reg.count(&format!("l2_hits_{}", class.name()), stats.l2.prov.class(class));
             let l1h = &loc.l1_reuse_dist[class.index()];
             if l1h.count > 0 {
-                *reg.histogram(&format!("l1_reuse_dist_{}", class.name())) =
-                    Histogram::from_pow2(l1h);
+                *reg.histogram(&format!("l1_reuse_dist_{}", class.name())) = *l1h;
             }
             let l2h = &loc.l2_reuse_dist[class.index()];
             if l2h.count > 0 {
-                *reg.histogram(&format!("l2_reuse_dist_{}", class.name())) =
-                    Histogram::from_pow2(l2h);
+                *reg.histogram(&format!("l2_reuse_dist_{}", class.name())) = *l2h;
             }
         }
         reg.count("l2_hits_same_smx", stats.l2.prov.same_smx);
@@ -309,7 +203,7 @@ pub fn registry_for_run(stats: &SimStats, records: &[TraceRecord]) -> MetricsReg
             (&eng.jump_len, "engine_jump_len"),
         ] {
             if hist.count > 0 {
-                *reg.histogram(name) = Histogram::from_pow2(hist);
+                *reg.histogram(name) = *hist;
             }
         }
         // Host-side wall time is telemetry, not simulation state: it
@@ -336,12 +230,11 @@ pub fn registry_for_run(stats: &SimStats, records: &[TraceRecord]) -> MetricsReg
             (&lat.stolen_queue_wait, "latency_stolen_queue_wait"),
         ] {
             if hist.count > 0 {
-                *reg.histogram(name) = Histogram::from_pow2(hist);
+                *reg.histogram(name) = *hist;
             }
         }
         for (depth, hist) in &lat.depth_queue_wait {
-            *reg.histogram(&format!("latency_queue_wait_depth{depth}")) =
-                Histogram::from_pow2(hist);
+            *reg.histogram(&format!("latency_queue_wait_depth{depth}")) = *hist;
         }
         reg.count("critical_path_len", u64::from(lat.critical_path.len));
         reg.count("critical_path_cycles", lat.critical_path.cycles);
@@ -360,13 +253,13 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_powers_of_two() {
-        let mut h = Histogram::new();
+        let mut h = Pow2Hist::default();
         for v in [0, 1, 2, 3, 4, 7, 8, 1024] {
             h.record(v);
         }
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.sum(), 1049);
-        assert_eq!(h.max(), 1024);
+        assert_eq!(h.count, 8);
+        assert_eq!(h.sum, 1049);
+        assert_eq!(h.max, 1024);
         let buckets = h.nonzero_buckets();
         // 0 | 1 | [2,3] | [4,7] | [8,15] | [1024,2047]
         assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (7, 2), (15, 1), (2047, 1)]);
@@ -374,15 +267,15 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bound_from_above() {
-        let mut h = Histogram::new();
+        let mut h = Pow2Hist::default();
         for _ in 0..99 {
             h.record(4);
         }
         h.record(1000);
-        assert!(h.quantile_upper_bound(0.5) >= 4);
-        assert!(h.quantile_upper_bound(0.5) < 8);
-        assert_eq!(h.quantile_upper_bound(1.0), 1000);
-        assert_eq!(Histogram::new().quantile_upper_bound(0.5), 0);
+        assert!(h.percentile(0.5) >= 4);
+        assert!(h.percentile(0.5) < 8);
+        assert_eq!(h.percentile(1.0), 1000);
+        assert_eq!(Pow2Hist::default().percentile(0.5), 0);
         assert!((h.mean() - (99.0 * 4.0 + 1000.0) / 100.0).abs() < 1e-9);
     }
 
@@ -395,7 +288,7 @@ mod tests {
         reg.histogram("lat").record(7);
         assert_eq!(reg.counter_value("widgets"), 5);
         assert_eq!(reg.gauge_value("speed"), Some(1.5));
-        assert_eq!(reg.histogram_value("lat").unwrap().count(), 1);
+        assert_eq!(reg.histogram_value("lat").unwrap().count, 1);
         let text = reg.render();
         assert!(text.contains("widgets"));
         assert!(text.contains("1.5000"));
@@ -453,11 +346,11 @@ mod tests {
         assert_eq!(reg.counter_value("cycles"), 100);
         assert_eq!(reg.counter_value("tbs_dynamic"), 1);
         let wait = reg.histogram_value("child_wait_cycles").unwrap();
-        assert_eq!(wait.count(), 1);
-        assert_eq!(wait.sum(), 20);
-        assert_eq!(reg.histogram_value("queue_depth").unwrap().count(), 2);
-        assert_eq!(reg.histogram_value("parent_resident_cycles").unwrap().sum(), 50);
-        assert_eq!(reg.histogram_value("child_resident_cycles").unwrap().sum(), 30);
+        assert_eq!(wait.count, 1);
+        assert_eq!(wait.sum, 20);
+        assert_eq!(reg.histogram_value("queue_depth").unwrap().count, 2);
+        assert_eq!(reg.histogram_value("parent_resident_cycles").unwrap().sum, 50);
+        assert_eq!(reg.histogram_value("child_resident_cycles").unwrap().sum, 30);
     }
 
     #[test]
@@ -485,8 +378,8 @@ mod tests {
         assert_eq!(reg.counter_value("l2_hits_same_smx"), 3);
         assert_eq!(reg.counter_value("bound_child_parent_child_hits"), 4);
         let h = reg.histogram_value("l1_reuse_dist_parent_child").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 400);
+        assert_eq!(h.count, 2);
+        assert_eq!(h.sum, 400);
         assert_eq!(reg.gauge_value("l1_parent_child_share"), Some(1.0));
     }
 
@@ -516,10 +409,10 @@ mod tests {
         assert_eq!(reg.counter_value("engine_loop_iterations"), 10);
         assert_eq!(reg.counter_value("engine_wake_component_tick"), 6);
         assert_eq!(reg.counter_value("engine_wake_fast_forward_jump"), 2);
-        assert_eq!(reg.histogram_value("engine_heap_depth").unwrap().count(), 1);
+        assert_eq!(reg.histogram_value("engine_heap_depth").unwrap().count, 1);
         let jumps = reg.histogram_value("engine_jump_len").unwrap();
-        assert_eq!(jumps.count(), 2);
-        assert_eq!(jumps.sum(), 130);
+        assert_eq!(jumps.count, 2);
+        assert_eq!(jumps.sum, 130);
         assert!(reg.histogram_value("engine_events_per_cycle").is_none());
         assert_eq!(reg.counter_value("engine_host_smx_ns"), 9000);
         assert_eq!(reg.counter_value("engine_host_samples"), 3);
@@ -559,22 +452,22 @@ mod tests {
         assert_eq!(reg.counter_value("critical_path_cycles"), 900);
         assert_eq!(reg.counter_value("critical_path_queue_cycles"), 300);
         let qw = reg.histogram_value("latency_queue_wait").unwrap();
-        assert_eq!(qw.count(), 2);
-        assert_eq!(qw.sum(), 610);
-        assert_eq!(reg.histogram_value("latency_queue_wait_depth1").unwrap().count(), 1);
+        assert_eq!(qw.count, 2);
+        assert_eq!(qw.sum, 610);
+        assert_eq!(reg.histogram_value("latency_queue_wait_depth1").unwrap().count, 1);
         assert!(reg.histogram_value("latency_exec").is_none(), "empty hists are omitted");
     }
 
     #[test]
-    fn pow2_import_preserves_buckets() {
-        let mut p = Pow2Hist::default();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1024] {
-            p.record(v);
-        }
-        let mut h = Histogram::new();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1024] {
-            h.record(v);
-        }
-        assert_eq!(Histogram::from_pow2(&p), h);
+    fn top_bucket_renders_without_overflow() {
+        // The top bucket holds [2^63, u64::MAX]; its label must be
+        // u64::MAX, never a shift by 64.
+        let mut reg = MetricsRegistry::new();
+        reg.histogram("huge").record(u64::MAX);
+        assert_eq!(reg.histogram_value("huge").unwrap().nonzero_buckets(), vec![(u64::MAX, 1)]);
+        let text = reg.render();
+        assert!(text.contains(&format!("p99 <= {}", u64::MAX)), "{text}");
+        let json = reg.to_json();
+        assert!(json.contains(&format!("[{}, 1]", u64::MAX)), "{json}");
     }
 }

@@ -5,7 +5,9 @@
 //! configuration cells — workload × scheduler × launch model × optional
 //! fault seed × optional finite launch-path limits — runs each under
 //! both [`EngineMode`]s, and requires the outcomes to match exactly: completed runs produce equal [`SimStats`], failed
-//! runs produce the same error. A second test renders the full
+//! runs produce the same error. A CDP launch storm drives a deep relay
+//! through a two-slot pending-launch buffer that spills, the one shape
+//! the suite cells do not reach. A last test renders the full
 //! tiny-scale sweep document (`repro.json`) once per engine and
 //! compares the JSON byte-for-byte, mirroring the CI
 //! `engine-equivalence` job at ci scale.
@@ -16,8 +18,11 @@ use dynpar::{LaunchLatency, LaunchModelKind};
 use gpu_sim::config::{EngineMode, GpuConfig, LaunchLimits, OverflowPolicy};
 use gpu_sim::engine::Simulator;
 use gpu_sim::fault::FaultPlan;
+use gpu_sim::kernel::ResourceReq;
+use gpu_sim::program::{KernelKindId, LaunchSpec, ProgramSource, TbOp, TbProgram};
 use gpu_sim::stats::SimStats;
 use laperm_bench::sweep::SweepDoc;
+use laperm_bench::{ProgramPath, Resilience};
 use sim_metrics::harness::SchedulerKind;
 use workloads::{suite, Scale, SharedSource, Workload};
 
@@ -142,6 +147,92 @@ fn random_cells_are_engine_equivalent() {
     assert!(faulted > 0, "the sample never drew a faulted cell");
 }
 
+/// A CDP launch storm: generation `param` of kernel kind 0 is a
+/// single-TB kernel that computes briefly, then device-launches one
+/// chain continuation plus `leaves` short-lived leaf kernels (leaf flag
+/// in the parameter's high bit), until `depth` generations have run.
+/// The burst overflows a finite pending-launch buffer, so most launches
+/// sit in the memory-backed spill queue before entering the buffer —
+/// simulated time is dominated by launch-path queueing, the shape the
+/// event engine skips through.
+struct LaunchStormSource {
+    depth: u64,
+    leaves: u32,
+}
+
+const STORM_LEAF_BIT: u64 = 1 << 32;
+
+impl ProgramSource for LaunchStormSource {
+    fn tb_program(&self, kind: KernelKindId, param: u64, _tb: u32) -> TbProgram {
+        let gen = param & (STORM_LEAF_BIT - 1);
+        let leaf = param & STORM_LEAF_BIT != 0;
+        let mut ops = vec![TbOp::Compute(8)];
+        if !leaf && gen + 1 < self.depth {
+            // Continuation first, so the relay claims a buffer slot
+            // before the leaves saturate it.
+            ops.push(TbOp::Launch(LaunchSpec {
+                kind,
+                param: gen + 1,
+                num_tbs: 1,
+                req: ResourceReq::new(32, 8, 0),
+            }));
+            for _ in 0..self.leaves {
+                ops.push(TbOp::Launch(LaunchSpec {
+                    kind,
+                    param: (gen + 1) | STORM_LEAF_BIT,
+                    num_tbs: 1,
+                    req: ResourceReq::new(32, 8, 0),
+                }));
+            }
+        }
+        TbProgram::new(ops)
+    }
+}
+
+/// The finite launch path the storm saturates: a two-slot pending-launch
+/// buffer spilling to a memory-backed queue, as CDP's software queue
+/// does when the hardware buffer fills.
+fn storm_limits() -> LaunchLimits {
+    LaunchLimits {
+        pending_launch_capacity: Some(2),
+        policy: OverflowPolicy::SpillVirtual { extra_latency: 2500 },
+        ..LaunchLimits::unbounded()
+    }
+}
+
+/// A short storm must retire one chain TB plus `leaves` leaf TBs per
+/// generation, overflow the two-slot buffer, and produce identical
+/// statistics under both engines.
+#[test]
+fn launch_storm_spills_and_is_engine_identical() {
+    let run = |engine: EngineMode| {
+        let mut cfg = GpuConfig::small_test();
+        cfg.engine_mode = engine;
+        cfg.launch_limits = storm_limits();
+        let model = LaunchModelKind::Cdp;
+        let source = LaunchStormSource { depth: 5, leaves: 3 };
+        let mut sim = Simulator::new(cfg, Box::new(source))
+            .with_launch_model(model.build(LaunchLatency::default_for(model)));
+        sim.launch_host_kernel(KernelKindId(0), 0, 1, ResourceReq::new(32, 8, 0))
+            .expect("storm root launches");
+        sim.run_to_completion().expect("storm completes")
+    };
+    let event = run(EngineMode::Event);
+    let stepped = run(EngineMode::CycleStepped);
+    assert_eq!(event, stepped);
+    // Generations 0..4 each retire one chain TB; 1..4 add 3 leaves.
+    assert_eq!(event.tb_records.len(), 5 + 4 * 3);
+    let spills = event
+        .launch_counters
+        .iter()
+        .find(|(k, _)| *k == "spill_events")
+        .map(|(_, v)| *v)
+        .unwrap_or(0);
+    assert!(spills > 0, "storm never overflowed the buffer: {:?}", event.launch_counters);
+    // Every link pays at least the CDP base latency.
+    assert!(event.cycles > 4 * 2500, "cycles = {}", event.cycles);
+}
+
 /// The rendered sweep document — the actual `repro.json` byte stream —
 /// is identical under both engines at tiny scale. The document carries
 /// no wall-clock or engine-mode fields, so byte equality means every
@@ -149,9 +240,15 @@ fn random_cells_are_engine_equivalent() {
 /// provenance) is the same. CI repeats this comparison at ci scale.
 #[test]
 fn tiny_sweep_documents_are_byte_identical() {
-    let event = SweepDoc::build_with_engine(Scale::Tiny, 0, 2, EngineMode::Event).to_json();
-    let stepped =
-        SweepDoc::build_with_engine(Scale::Tiny, 0, 2, EngineMode::CycleStepped).to_json();
+    let render = |engine| {
+        let res = Resilience::default();
+        SweepDoc::build_resilient(Scale::Tiny, 0, 2, engine, ProgramPath::Generator, &res)
+            .expect("generator sweep builds")
+            .0
+            .to_json()
+    };
+    let event = render(EngineMode::Event);
+    let stepped = render(EngineMode::CycleStepped);
     if event != stepped {
         for (i, (a, b)) in event.lines().zip(stepped.lines()).enumerate() {
             assert_eq!(a, b, "repro.json line {} differs between engines", i + 1);

@@ -147,7 +147,7 @@ fn profiling_does_not_perturb_the_simulation() {
 /// preexisting byte is unchanged.
 #[test]
 fn unprofiled_documents_have_no_engine_key() {
-    let doc = SweepDoc::build_with_engine(Scale::Tiny, 0, 2, EngineMode::Event);
+    let doc = SweepDoc::build(Scale::Tiny, 0, 2);
     let json = doc.to_json();
     assert!(!json.contains("\"engine\""), "unprofiled repro.json must not mention the engine");
     assert!(!json.contains("host_ns"), "wall-clock time must never reach repro.json");

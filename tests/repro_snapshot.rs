@@ -12,14 +12,31 @@
 //!  --json /tmp/repro.json > tests/golden/repro_ci.txt`
 //! and review the diff like any other code change.
 
+use std::sync::OnceLock;
+
+use gpu_sim::config::EngineMode;
 use laperm_bench::{default_jobs, evaluate_shapes, full_report, MatrixRecords, SweepDoc};
 use workloads::Scale;
+
+/// The ci-scale document, built once and shared by the plain-sweep
+/// tests here (each build is a full ci-scale sweep).
+fn ci_doc() -> &'static SweepDoc {
+    static DOC: OnceLock<SweepDoc> = OnceLock::new();
+    DOC.get_or_init(|| SweepDoc::build(Scale::Ci, 0, default_jobs()))
+}
+
+/// The profiled ci-scale document, shared by the profile and latency
+/// tests.
+fn ci_profiled_doc() -> &'static SweepDoc {
+    static DOC: OnceLock<SweepDoc> = OnceLock::new();
+    DOC.get_or_init(|| SweepDoc::build_profiled(Scale::Ci, 0, default_jobs(), EngineMode::Event))
+}
 
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_report_matches_golden() {
     let golden = include_str!("golden/repro_ci.txt");
-    let doc = SweepDoc::build(Scale::Ci, 0, default_jobs());
+    let doc = ci_doc();
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
     let m = MatrixRecords::from_records(doc.records.clone());
     let current = full_report(Scale::Ci, default_jobs(), &m);
@@ -32,8 +49,7 @@ fn ci_scale_report_matches_golden() {
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_shapes_all_pass() {
-    let doc = SweepDoc::build(Scale::Ci, 0, default_jobs());
-    let outcomes = evaluate_shapes(&doc);
+    let outcomes = evaluate_shapes(ci_doc());
     let failed: Vec<String> =
         outcomes.iter().filter(|o| !o.passed).map(|o| format!("{}: {}", o.id, o.detail)).collect();
     assert!(failed.is_empty(), "shape assertions failed at ci scale:\n{}", failed.join("\n"));
@@ -48,18 +64,17 @@ fn ci_scale_shapes_all_pass() {
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_profile_matches_golden() {
-    use gpu_sim::config::EngineMode;
     let golden = include_str!("golden/repro_profile_ci.txt");
-    let doc = SweepDoc::build_profiled(Scale::Ci, 0, default_jobs(), EngineMode::Event);
+    let doc = ci_profiled_doc();
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
 
     // The engine shape assertions bind on a profiled document.
-    let outcomes = evaluate_shapes(&doc);
+    let outcomes = evaluate_shapes(doc);
     let failed: Vec<String> =
         outcomes.iter().filter(|o| !o.passed).map(|o| format!("{}: {}", o.id, o.detail)).collect();
     assert!(failed.is_empty(), "shape assertions failed on profiled doc:\n{}", failed.join("\n"));
 
-    let m = MatrixRecords::from_records(doc.records);
+    let m = MatrixRecords::from_records(doc.records.clone());
     let current = laperm_bench::profile(&m);
     assert_eq!(
         current, golden,
@@ -75,18 +90,17 @@ fn ci_scale_profile_matches_golden() {
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_latency_matches_golden() {
-    use gpu_sim::config::EngineMode;
     let golden = include_str!("golden/repro_latency_ci.txt");
-    let doc = SweepDoc::build_profiled(Scale::Ci, 0, default_jobs(), EngineMode::Event);
+    let doc = ci_profiled_doc();
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
 
     // The latency shape assertions bind on a profiled document.
-    let outcomes = evaluate_shapes(&doc);
+    let outcomes = evaluate_shapes(doc);
     let failed: Vec<String> =
         outcomes.iter().filter(|o| !o.passed).map(|o| format!("{}: {}", o.id, o.detail)).collect();
     assert!(failed.is_empty(), "shape assertions failed on profiled doc:\n{}", failed.join("\n"));
 
-    let m = MatrixRecords::from_records(doc.records);
+    let m = MatrixRecords::from_records(doc.records.clone());
     let current = laperm_bench::latency_report(Scale::Ci, default_jobs(), &m);
     assert_eq!(
         current, golden,
