@@ -15,122 +15,42 @@
 //!   --trace                print the first scheduling events
 //! ```
 
-use dynpar::{LaunchLatency, LaunchModelKind};
+use dynpar::LaunchLatency;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
-use gpu_sim::tb_sched::{RandomScheduler, RoundRobinScheduler, TbScheduler};
 use gpu_sim::trace::{render, VecSink};
-use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
-use workloads::{suite_seeded, Scale, SharedSource};
-
-struct Options {
-    workload: String,
-    scheduler: String,
-    model: LaunchModelKind,
-    scale: Scale,
-    seed: u64,
-    smxs: Option<u16>,
-    l1_kb: Option<u32>,
-    l2_kb: Option<u32>,
-    launch_latency: Option<u32>,
-    trace: bool,
-}
-
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let parse_num = |flag: &str| -> Option<u64> {
-        value(flag).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} expects a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    Options {
-        workload: value("--workload").unwrap_or_else(|| "bfs-citation".into()),
-        scheduler: value("--scheduler").unwrap_or_else(|| "adaptive-bind".into()),
-        model: match value("--model").as_deref() {
-            Some("cdp") => LaunchModelKind::Cdp,
-            Some("dtbl") | None => LaunchModelKind::Dtbl,
-            Some(other) => {
-                eprintln!("unknown launch model {other}");
-                std::process::exit(2);
-            }
-        },
-        scale: match value("--scale").as_deref() {
-            Some("tiny") => Scale::Tiny,
-            Some("small") | None => Scale::Small,
-            Some("paper") => Scale::Paper,
-            Some(other) => {
-                eprintln!("unknown scale {other}");
-                std::process::exit(2);
-            }
-        },
-        seed: parse_num("--seed").unwrap_or(0),
-        smxs: parse_num("--smxs").map(|n| n as u16),
-        l1_kb: parse_num("--l1-kb").map(|n| n as u32),
-        l2_kb: parse_num("--l2-kb").map(|n| n as u32),
-        launch_latency: parse_num("--launch-latency").map(|n| n as u32),
-        trace: args.iter().any(|a| a == "--trace"),
-    }
-}
-
-fn build_scheduler(name: &str, cfg: &GpuConfig) -> Box<dyn TbScheduler> {
-    let laperm_cfg = LaPermConfig::for_gpu(cfg);
-    match name {
-        "rr" => Box::new(RoundRobinScheduler::new()),
-        "random" => Box::new(RandomScheduler::new(1)),
-        "tb-pri" => Box::new(LaPermScheduler::new(LaPermPolicy::TbPri, laperm_cfg)),
-        "smx-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::SmxBind, laperm_cfg)),
-        "adaptive-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::AdaptiveBind, laperm_cfg)),
-        other => {
-            eprintln!("unknown scheduler {other} (rr, tb-pri, smx-bind, adaptive-bind, random)");
-            std::process::exit(2);
-        }
-    }
-}
+use laperm_bench::cli::{build_scheduler, fail, Args};
+use workloads::SharedSource;
 
 fn main() {
-    let opts = parse_args();
-    let all = suite_seeded(opts.scale, opts.seed);
-    if opts.workload == "list" {
-        for w in &all {
-            println!("{}", w.full_name());
-        }
-        return;
-    }
-    let Some(workload) = all.iter().find(|w| w.full_name() == opts.workload) else {
-        eprintln!("unknown workload {}; try --workload list", opts.workload);
-        std::process::exit(2);
-    };
-
+    let args = Args::from_env();
+    let model = args.model();
     let mut cfg = GpuConfig::kepler_k20c();
-    if let Some(n) = opts.smxs {
+    if let Some(n) = args.smxs() {
         cfg.num_smxs = n;
     }
-    if let Some(kb) = opts.l1_kb {
-        cfg.l1_bytes = kb * 1024;
+    // Cache sizes are `u32` byte counts.
+    let kib = |flag| args.num::<u32>(flag, (u32::MAX / 1024).into()).map(|kb| kb * 1024);
+    if let Some(bytes) = kib("--l1-kb") {
+        cfg.l1_bytes = bytes;
     }
-    if let Some(kb) = opts.l2_kb {
-        cfg.l2_bytes = kb * 1024;
+    if let Some(bytes) = kib("--l2-kb") {
+        cfg.l2_bytes = bytes;
     }
+    let latency = match args.num("--launch-latency", u32::MAX.into()) {
+        Some(base) => LaunchLatency::uniform(base),
+        None => LaunchLatency::default_for(model),
+    };
+    let Some(workload) = args.workload() else { return };
     if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
+        fail(format!("invalid configuration: {e}"));
     }
 
-    let latency = match opts.launch_latency {
-        Some(base) => LaunchLatency::uniform(base),
-        None => LaunchLatency::default_for(opts.model),
-    };
     let sink = VecSink::new();
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
-        .with_scheduler(build_scheduler(&opts.scheduler, &cfg))
-        .with_launch_model(opts.model.build(latency));
-    if opts.trace {
+        .with_scheduler(build_scheduler(args.scheduler(), &cfg))
+        .with_launch_model(model.build(latency));
+    if args.has("--trace") {
         sim = sim.with_trace(Box::new(sink.clone()));
     }
     for hk in workload.host_kernels() {
@@ -150,10 +70,10 @@ fn main() {
     println!(
         "{} | {} | {} | {} SMXs | seed {}",
         workload.full_name(),
-        opts.model,
+        model,
         stats.scheduler,
         cfg.num_smxs,
-        opts.seed
+        args.seed()
     );
     print!("{}", stats.summary());
     println!("\nper-kernel-kind breakdown:");
@@ -165,7 +85,7 @@ fn main() {
             mean_resident
         );
     }
-    if opts.trace {
+    if args.has("--trace") {
         let records = sink.records();
         println!("\nfirst scheduling events:");
         print!("{}", render(&records[..records.len().min(30)]));

@@ -29,30 +29,13 @@
 //! run is likewise a hard error, never an empty table: an empty table
 //! is indistinguishable from a measured zero.
 
-use dynpar::{LaunchLatency, LaunchModelKind};
+use dynpar::LaunchLatency;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
-use gpu_sim::tb_sched::{RandomScheduler, RoundRobinScheduler, TbScheduler};
 use gpu_sim::trace::VecSink;
-use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
+use laperm_bench::cli::{build_scheduler, fail, Args, SCHEDULER_NAMES};
 use sim_metrics::{perfetto_json, registry_for_run, validate_trace};
-use workloads::{suite_seeded, Scale, SharedSource};
-
-struct Options {
-    workload: String,
-    scheduler: String,
-    model: LaunchModelKind,
-    scale: Scale,
-    seed: u64,
-    smxs: Option<u16>,
-    out: String,
-    sample_every: u64,
-    check: bool,
-    metrics: bool,
-    locality: bool,
-    engine_profile: bool,
-    latency: bool,
-}
+use workloads::SharedSource;
 
 /// Flags that consume the following token as their value.
 const VALUE_FLAGS: [&str; 8] = [
@@ -70,9 +53,6 @@ const VALUE_FLAGS: [&str; 8] = [
 const BOOL_FLAGS: [&str; 5] =
     ["--check", "--metrics", "--locality", "--engine-profile", "--latency"];
 
-/// Valid `--scheduler` names (must match [`build_scheduler`]).
-const SCHEDULER_NAMES: &str = "rr, tb-pri, smx-bind, adaptive-bind, random";
-
 fn reject_arg(arg: &str) -> ! {
     eprintln!("unknown argument {arg}");
     eprintln!("value flags: {} (each takes the next token)", VALUE_FLAGS.join(" "));
@@ -81,114 +61,50 @@ fn reject_arg(arg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // Strict pass: every token must be a known flag or the value of the
-    // known value-flag just before it. This turns `--scheduler=foo` and
-    // misspelled flags into hard errors instead of silent defaults.
+/// The command line, after a strict pass: every token must be a known
+/// flag or the value of the known value-flag just before it. This turns
+/// `--scheduler=foo` and misspelled flags into hard errors instead of
+/// silent defaults.
+fn parse_args() -> Args {
+    let args = Args::from_env();
     let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
+    while i < args.0.len() {
+        let a = args.0[i].as_str();
         if BOOL_FLAGS.contains(&a) {
             i += 1;
         } else if VALUE_FLAGS.contains(&a) {
-            if args.get(i + 1).is_none() {
-                eprintln!("{a} expects a value");
-                std::process::exit(2);
+            if args.0.get(i + 1).is_none() {
+                fail(format!("{a} expects a value"));
             }
             i += 2;
         } else {
             reject_arg(a);
         }
     }
-    let value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
-    };
-    let parse_num = |flag: &str| -> Option<u64> {
-        value(flag).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} expects a number, got {v}");
-                std::process::exit(2);
-            })
-        })
-    };
-    Options {
-        workload: value("--workload").unwrap_or_else(|| "bfs-citation".into()),
-        scheduler: value("--scheduler").unwrap_or_else(|| "adaptive-bind".into()),
-        model: match value("--model").as_deref() {
-            Some("cdp") => LaunchModelKind::Cdp,
-            Some("dtbl") | None => LaunchModelKind::Dtbl,
-            Some(other) => {
-                eprintln!("unknown launch model {other} (cdp, dtbl)");
-                std::process::exit(2);
-            }
-        },
-        scale: match value("--scale").as_deref() {
-            Some("tiny") => Scale::Tiny,
-            Some("small") | None => Scale::Small,
-            Some("paper") => Scale::Paper,
-            Some(other) => {
-                eprintln!("unknown scale {other} (tiny, small, paper)");
-                std::process::exit(2);
-            }
-        },
-        seed: parse_num("--seed").unwrap_or(0),
-        smxs: parse_num("--smxs").map(|n| n as u16),
-        out: value("--out").unwrap_or_else(|| "trace.json".into()),
-        sample_every: parse_num("--sample-every").unwrap_or(1000),
-        check: args.iter().any(|a| a == "--check"),
-        metrics: args.iter().any(|a| a == "--metrics"),
-        locality: args.iter().any(|a| a == "--locality"),
-        engine_profile: args.iter().any(|a| a == "--engine-profile"),
-        latency: args.iter().any(|a| a == "--latency"),
-    }
-}
-
-fn build_scheduler(name: &str, cfg: &GpuConfig) -> Box<dyn TbScheduler> {
-    let laperm_cfg = LaPermConfig::for_gpu(cfg);
-    match name {
-        "rr" => Box::new(RoundRobinScheduler::new()),
-        "random" => Box::new(RandomScheduler::new(1)),
-        "tb-pri" => Box::new(LaPermScheduler::new(LaPermPolicy::TbPri, laperm_cfg)),
-        "smx-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::SmxBind, laperm_cfg)),
-        "adaptive-bind" => Box::new(LaPermScheduler::new(LaPermPolicy::AdaptiveBind, laperm_cfg)),
-        other => {
-            eprintln!("unknown scheduler {other} ({SCHEDULER_NAMES})");
-            std::process::exit(2);
-        }
-    }
+    args
 }
 
 fn main() {
-    let opts = parse_args();
-    let all = suite_seeded(opts.scale, opts.seed);
-    if opts.workload == "list" {
-        for w in &all {
-            println!("{}", w.full_name());
-        }
-        return;
-    }
-    let Some(workload) = all.iter().find(|w| w.full_name() == opts.workload) else {
-        eprintln!("unknown workload {}; try --workload list", opts.workload);
-        std::process::exit(2);
-    };
-
+    let args = parse_args();
+    let model = args.model();
+    let sample_every = args.num("--sample-every", u64::MAX).unwrap_or(1000);
+    let out = args.value("--out").unwrap_or("trace.json");
     let mut cfg = GpuConfig::kepler_k20c();
-    cfg.profile_locality = opts.locality;
-    cfg.profile_engine = opts.engine_profile;
-    cfg.profile_latency = opts.latency;
-    if let Some(n) = opts.smxs {
+    cfg.profile_locality = args.has("--locality");
+    cfg.profile_engine = args.has("--engine-profile");
+    cfg.profile_latency = args.has("--latency");
+    if let Some(n) = args.smxs() {
         cfg.num_smxs = n;
     }
+    let Some(workload) = args.workload() else { return };
     if let Err(e) = cfg.validate() {
-        eprintln!("invalid configuration: {e}");
-        std::process::exit(2);
+        fail(format!("invalid configuration: {e}"));
     }
 
     let sink = VecSink::new();
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
-        .with_scheduler(build_scheduler(&opts.scheduler, &cfg))
-        .with_launch_model(opts.model.build(LaunchLatency::default_for(opts.model)))
+        .with_scheduler(build_scheduler(args.scheduler(), &cfg))
+        .with_launch_model(model.build(LaunchLatency::default_for(model)))
         .with_trace(Box::new(sink.clone()));
     for hk in workload.host_kernels() {
         if let Err(e) = sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req) {
@@ -202,18 +118,18 @@ fn main() {
     // default, as `repro` does); a jump just lands past the next
     // sampling boundary.
     let mut samples = Vec::new();
-    if opts.sample_every > 0 {
+    if sample_every > 0 {
         samples.push(sim.sample());
     }
-    let mut next_sample = opts.sample_every;
+    let mut next_sample = sample_every;
     while !sim.is_done() {
         if let Err(e) = sim.step() {
             eprintln!("simulation failed: {e}");
             std::process::exit(1);
         }
-        if opts.sample_every > 0 && sim.cycle() >= next_sample {
+        if sample_every > 0 && sim.cycle() >= next_sample {
             samples.push(sim.sample());
-            next_sample = sim.cycle() + opts.sample_every;
+            next_sample = sim.cycle() + sample_every;
         }
         if sim.cycle() > cfg.max_cycles {
             eprintln!("simulation exceeded {} cycles", cfg.max_cycles);
@@ -224,25 +140,25 @@ fn main() {
     let records = sink.records();
 
     let json = perfetto_json(&records, &stats, &samples, cfg.num_smxs);
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("cannot write {}: {e}", opts.out);
+    if let Err(e) = std::fs::write(out, &json) {
+        eprintln!("cannot write {}: {e}", out);
         std::process::exit(1);
     }
 
     println!(
         "{} | {} | {} | {} SMXs | seed {}",
         workload.full_name(),
-        opts.model,
+        model,
         stats.scheduler,
         cfg.num_smxs,
-        opts.seed
+        args.seed()
     );
     println!(
         "{} cycles, {} trace events, {} TB records -> {} ({} bytes)",
         stats.cycles,
         records.len(),
         stats.tb_records.len(),
-        opts.out,
+        out,
         json.len()
     );
 
@@ -260,32 +176,32 @@ fn main() {
         ),
         Err(e) => {
             eprintln!("trace validation failed: {e}");
-            if opts.check {
+            if args.has("--check") {
                 std::process::exit(1);
             }
         }
     }
 
-    if opts.metrics {
+    if args.has("--metrics") {
         let registry = registry_for_run(&stats, &records);
         print!("\n{}", registry.render());
     }
 
-    if opts.locality {
+    if cfg.profile_locality {
         match locality_summary(&stats) {
             Some(s) => print!("\n{s}"),
             None => missing_profile("--locality", "locality"),
         }
     }
 
-    if opts.engine_profile {
+    if cfg.profile_engine {
         match engine_summary(&stats) {
             Some(s) => print!("\n{s}"),
             None => missing_profile("--engine-profile", "engine"),
         }
     }
 
-    if opts.latency {
+    if cfg.profile_latency {
         match latency_summary(&stats) {
             Some(s) => print!("\n{s}"),
             None => missing_profile("--latency", "latency"),

@@ -966,10 +966,10 @@ pub fn latency_attribution(m: &MatrixRecords) -> String {
             }
             if let Some(lat) = &r.latency {
                 n += 1;
-                len += u64::from(lat.critical_path_len);
-                cycles += lat.critical_path_cycles;
-                queue += lat.critical_path_queue;
-                exec += lat.critical_path_exec;
+                len += u64::from(lat.critical_path.len);
+                cycles += lat.critical_path.cycles;
+                queue += lat.critical_path.queue_cycles;
+                exec += lat.critical_path.exec_cycles;
             }
         }
         if n == 0 {

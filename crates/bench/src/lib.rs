@@ -14,11 +14,14 @@
 //!   (deadline/retry/backoff), and harness-level fault injection.
 //! * [`shapes`] — EXPERIMENTS.md's qualitative claims as machine-checked
 //!   assertions over `repro.json` (the `repro check` reproduction gate).
+//! * [`cli`] — flag parsing shared by the `laperm-sim` and
+//!   `laperm-trace` binaries.
 
 // Library code must not panic on fallible lookups; tests opt back
 // in locally.
 #![deny(clippy::unwrap_used)]
 
+pub mod cli;
 pub mod experiments;
 pub mod fig4;
 pub mod resilience;

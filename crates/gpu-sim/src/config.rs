@@ -228,24 +228,19 @@ pub struct GpuConfig {
     /// between engine modes (it observes the engine, not the machine).
     pub profile_engine: bool,
 
-    /// Host-time sampling stride for engine profiling: one in this many
-    /// loop iterations is timed with `Instant` spans, bounding the
-    /// profiling overhead. Must be nonzero; ignored unless
-    /// `profile_engine` is set.
-    pub engine_host_sampling: u64,
-
-    /// Per-TB lifecycle latency attribution: stamp every TB's lifecycle
-    /// edges (launch issued → KMU-matured → scheduler-enqueued →
-    /// dispatched → first issue → retired), decompose each lifetime into
-    /// the exactly-partitioning sum `launch_path + queue_wait +
-    /// dispatch_gap + exec`, and extract the parent→child critical path
-    /// of the run. Off by default; when off the simulator allocates no
-    /// lifecycle state and the dispatch/retire paths take one `Option`
-    /// branch each. Profiling is purely observational — cycles and every
-    /// other statistic are identical with it on or off, and the
-    /// resulting [`LatencyStats`](crate::stats::LatencyStats) observes
-    /// the simulated machine, so it is bit-identical across engine
-    /// modes.
+    /// Per-TB lifecycle latency attribution: have
+    /// [`Simulator::stats`](crate::engine::Simulator::stats) summarize
+    /// the lifecycle stamps every run keeps on its
+    /// [`TbRecord`](crate::stats::TbRecord)s (launch issued →
+    /// KMU-matured → scheduler-enqueued → dispatched → first issue →
+    /// retired) into [`LatencyStats`](crate::stats::LatencyStats): each
+    /// lifetime decomposed into the exactly-partitioning sum
+    /// `launch_path + queue_wait + dispatch_gap + exec`, plus the
+    /// parent→child critical path of the run. Off by default; the flag
+    /// only decides whether the summary is built, so cycles and every
+    /// other statistic are identical with it on or off. The summary
+    /// observes the simulated machine, so it is bit-identical across
+    /// engine modes.
     pub profile_latency: bool,
 
     /// Finite launch-path capacities and the overflow policy applied at
@@ -302,7 +297,6 @@ impl GpuConfig {
             engine_mode: EngineMode::Event,
             profile_locality: false,
             profile_engine: false,
-            engine_host_sampling: 64,
             profile_latency: false,
             launch_limits: LaunchLimits::unbounded(),
             watchdog_window: Some(2_000_000),
@@ -341,7 +335,6 @@ impl GpuConfig {
             engine_mode: EngineMode::Event,
             profile_locality: false,
             profile_engine: false,
-            engine_host_sampling: 64,
             profile_latency: false,
             launch_limits: LaunchLimits::unbounded(),
             watchdog_window: Some(500_000),
@@ -445,9 +438,6 @@ impl GpuConfig {
         }
         if self.watchdog_window == Some(0) {
             return Err("watchdog_window must be nonzero when enabled".into());
-        }
-        if self.engine_host_sampling == 0 {
-            return Err("engine_host_sampling must be nonzero".into());
         }
         Ok(())
     }

@@ -91,6 +91,9 @@ pub struct Batch {
     pub priority: Priority,
     /// Cycle the launch was issued (host: 0 or launch call time).
     pub created_at: Cycle,
+    /// Cycle the launch matured into the scheduling hardware (KMU
+    /// enqueue, or direct KDU attach for a coalesced DTBL group).
+    pub matured_at: Cycle,
     /// Cycle the batch became schedulable (entered the KDU), if it has.
     pub schedulable_at: Option<Cycle>,
     /// Lifecycle state.
@@ -142,6 +145,7 @@ mod tests {
             origin: None,
             priority: Priority::HOST,
             created_at: 0,
+            matured_at: 0,
             schedulable_at: None,
             state: BatchState::Pending,
             next_tb: 0,

@@ -83,17 +83,14 @@ pub struct ResidentTb {
     pub req: ResourceReq,
     /// Monotone dispatch sequence number (for warp-scheduler age).
     pub dispatch_seq: u64,
-    /// Cycle the TB started executing.
-    pub started_at: Cycle,
     /// Identity and ancestry carried by every memory access this TB
     /// issues (meaningful only when locality profiling is on; a default
     /// ancestry-free lineage otherwise).
     pub lineage: Lineage,
     /// Cycle the TB's first instruction issued; `Cycle::MAX` until then.
-    /// Only stamped when `GpuConfig::profile_latency` is on — the
-    /// sentinel flows through [`TbCompletion`] and the engine falls back
-    /// to `finished_at` for TBs that retire without issuing (empty
-    /// programs).
+    /// Stamped on every run; the sentinel flows through [`TbCompletion`]
+    /// and the engine falls back to `finished_at` for TBs that retire
+    /// without issuing (empty programs).
     pub first_issue_at: Cycle,
     /// Earliest cycle any of this TB's warps can act (issue, finalize,
     /// or leave a barrier), packed as in [`Warp::set_ready`]: cycle in
@@ -119,10 +116,10 @@ pub struct TbCompletion {
     pub tb: TbRef,
     /// SMX it ran on.
     pub smx: SmxId,
-    /// Cycle it started.
-    pub started_at: Cycle,
-    /// Cycle its first instruction issued (`Cycle::MAX` when latency
-    /// profiling was off or the TB never issued).
+    /// Dispatch sequence number the engine placed it with.
+    pub dispatch_seq: u64,
+    /// Cycle its first instruction issued (`Cycle::MAX` when the TB
+    /// never issued).
     pub first_issue_at: Cycle,
     /// Cycle it retired.
     pub finished_at: Cycle,
@@ -327,7 +324,6 @@ impl Smx {
             threads: req.threads,
             req,
             dispatch_seq,
-            started_at: now,
             lineage,
             first_issue_at: Cycle::MAX,
             next_packed: (now << 3) | StallCause::Scoreboard.code(),
@@ -579,11 +575,8 @@ impl Smx {
         }
 
         // Every path that reaches here issued an instruction (the
-        // credit-blocked launch returned above), so this is the TB's
-        // first issue iff the sentinel is still set.
-        if cfg.profile_latency && tb.first_issue_at == Cycle::MAX {
-            tb.first_issue_at = now;
-        }
+        // credit-blocked launch returned above); the first one sticks.
+        tb.first_issue_at = tb.first_issue_at.min(now);
 
         self.warp_instructions += 1;
         self.thread_instructions += u64::from(counted_threads);
@@ -659,7 +652,7 @@ impl Smx {
                 events.completions.push(TbCompletion {
                     tb: tb.tb,
                     smx: self.id,
-                    started_at: tb.started_at,
+                    dispatch_seq: tb.dispatch_seq,
                     first_issue_at: tb.first_issue_at,
                     finished_at: now,
                 });

@@ -1,5 +1,7 @@
 //! Simulation statistics.
 
+use std::collections::{BTreeMap, HashMap};
+
 use crate::cache::{CacheStats, ReuseClass, NUM_REUSE_CLASSES};
 use crate::program::KernelKindId;
 use crate::types::{BatchId, Cycle, Priority, SmxId, TbRef};
@@ -451,10 +453,27 @@ pub struct TbRecord {
     pub parent: Option<(BatchId, u32, SmxId)>,
     /// Cycle the batch's launch was issued.
     pub created_at: Cycle,
+    /// Cycle the batch's launch matured into the scheduling hardware
+    /// (KMU enqueue for kernels, direct KDU attach for DTBL groups).
+    pub matured_at: Cycle,
+    /// Cycle the batch became schedulable (entered the KDU).
+    pub schedulable_at: Cycle,
     /// Cycle the TB was dispatched to its SMX.
     pub dispatched_at: Cycle,
+    /// Cycle the TB's first instruction issued, or its retirement cycle
+    /// if it retired without issuing (empty program). `Cycle::MAX`
+    /// until the TB retires, so the sentinel also marks a TB still
+    /// resident.
+    pub first_issue_at: Cycle,
     /// Cycle the TB retired (0 until completion).
     pub finished_at: Cycle,
+}
+
+impl TbRecord {
+    /// `true` once the TB has retired.
+    fn is_retired(&self) -> bool {
+        self.first_issue_at != Cycle::MAX
+    }
 }
 
 /// A cheap point-in-time sample of the machine's cumulative counters,
@@ -583,14 +602,70 @@ pub struct CriticalPath {
     pub queue_cycles: u64,
     /// Path cycles attributable to execution, summed over the chain.
     pub exec_cycles: u64,
-    /// The chain itself, root-first (parent before child).
-    pub chain: Vec<TbRef>,
 }
 
-/// Per-TB lifecycle latency attribution; `Some` on [`SimStats`] only
-/// when the run had [`GpuConfig::profile_latency`] set.
+impl CriticalPath {
+    /// Weighs the chain [`critical_path_chain`] extracts from `records`.
+    pub fn from_records(records: &[TbRecord]) -> Self {
+        let chain = critical_path_chain(records);
+        let (Some(&top), Some(&last)) = (chain.first(), chain.last()) else {
+            return CriticalPath::default();
+        };
+        let mut cp = CriticalPath {
+            len: u32::try_from(chain.len()).unwrap_or(u32::MAX),
+            cycles: records[last].finished_at - records[top].created_at,
+            ..CriticalPath::default()
+        };
+        for (k, &i) in chain.iter().enumerate() {
+            let r = &records[i];
+            // Execution runs until the chain-child's launch was issued;
+            // the final TB's until its retirement.
+            let end = chain.get(k + 1).map_or(r.finished_at, |&c| records[c].created_at);
+            cp.queue_cycles += r.first_issue_at.saturating_sub(r.created_at);
+            cp.exec_cycles += end.saturating_sub(r.first_issue_at);
+        }
+        cp
+    }
+}
+
+/// The run's critical path as indices into `records`, root-first
+/// (parent before child). Starts from the TB that retired last
+/// (earliest record on ties, deterministic) and walks the
+/// [`TbRecord::parent`] lineage root-ward. A child's launch is issued at
+/// or after its parent's first instruction, so the [`CriticalPath`]
+/// weights telescope to exactly `finished(final) - created(root)`. The
+/// walk stops early at an ancestor that has not retired (a parent can
+/// outlive its children); the attribution stays exact for the truncated
+/// chain. Empty when no TB has retired.
+pub fn critical_path_chain(records: &[TbRecord]) -> Vec<usize> {
+    let mut last: Option<usize> = None;
+    for (i, r) in records.iter().enumerate() {
+        if r.is_retired() && last.is_none_or(|j| r.finished_at > records[j].finished_at) {
+            last = Some(i);
+        }
+    }
+    let Some(mut i) = last else { return Vec::new() };
+    let index: HashMap<TbRef, usize> = records.iter().enumerate().map(|(i, r)| (r.tb, i)).collect();
+    let mut chain = vec![i];
+    while let Some((batch, index_in_batch, _)) = records[i].parent {
+        match index.get(&TbRef { batch, index: index_in_batch }) {
+            Some(&p) if records[p].is_retired() => {
+                chain.push(p);
+                i = p;
+            }
+            _ => break,
+        }
+    }
+    chain.reverse();
+    chain
+}
+
+/// Per-TB lifecycle latency attribution, computed from the
+/// [`TbRecord`] lifecycle stamps by [`LatencyStats::from_records`];
+/// `Some` on [`SimStats`] only when the run had
+/// [`GpuConfig::profile_latency`] set.
 ///
-/// Every dispatched TB's lifetime (launch issue to retirement) is
+/// Every retired TB's lifetime (launch issue to retirement) is
 /// decomposed into an exactly-partitioning sum of four components, each
 /// aggregated into a [`Pow2Hist`]:
 ///
@@ -650,6 +725,51 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
+    /// Aggregates the lifecycle stamps of every retired TB in `records`
+    /// (TBs still resident are skipped; on a completed run that is
+    /// every dispatched TB, which the `lat-partition-exact` shape
+    /// assertion relies on). `kmu_depth_hwm` is carried through as is.
+    pub fn from_records(records: &[TbRecord], kmu_depth_hwm: u64) -> Self {
+        let mut s = LatencyStats { kmu_depth_hwm, ..LatencyStats::default() };
+        let mut depth: BTreeMap<u8, Pow2Hist> = BTreeMap::new();
+        let mut kind: BTreeMap<u16, Pow2Hist> = BTreeMap::new();
+        for r in records.iter().filter(|r| r.is_retired()) {
+            let ordered = r.created_at <= r.matured_at
+                && r.matured_at <= r.schedulable_at
+                && r.schedulable_at <= r.dispatched_at
+                && r.dispatched_at <= r.first_issue_at
+                && r.first_issue_at <= r.finished_at;
+            if !ordered {
+                // Out-of-order stamps would make the components lie;
+                // count the TB instead of recording a garbage partition.
+                s.partition_violations += 1;
+                continue;
+            }
+            s.tbs += 1;
+            let queue_wait = r.dispatched_at - r.schedulable_at;
+            s.launch_path.record(r.schedulable_at - r.created_at);
+            s.kmu_wait.record(r.schedulable_at - r.matured_at);
+            s.queue_wait.record(queue_wait);
+            s.dispatch_gap.record(r.first_issue_at - r.dispatched_at);
+            s.exec.record(r.finished_at - r.first_issue_at);
+            s.lifetime.record(r.finished_at - r.created_at);
+            if r.is_dynamic {
+                s.child_queue_wait.record(queue_wait);
+                if r.parent.is_some_and(|(_, _, parent_smx)| parent_smx == r.smx) {
+                    s.bound_queue_wait.record(queue_wait);
+                } else {
+                    s.stolen_queue_wait.record(queue_wait);
+                }
+            }
+            depth.entry(r.priority.0).or_default().record(queue_wait);
+            kind.entry(r.kind.0).or_default().record(r.finished_at - r.created_at);
+        }
+        s.depth_queue_wait = depth.into_iter().collect();
+        s.kind_lifetime = kind.into_iter().collect();
+        s.critical_path = CriticalPath::from_records(records);
+        s
+    }
+
     /// `p50 / p95 / p99 (mean)` rendering of one histogram, shared by
     /// the CLI summary tables.
     pub fn quantile_line(h: &Pow2Hist) -> String {
@@ -967,9 +1087,88 @@ mod tests {
             is_dynamic: dynamic,
             parent: parent_smx.map(|s| (BatchId(0), 0, SmxId(s))),
             created_at: 10,
+            matured_at: 10,
+            schedulable_at: 20,
             dispatched_at: 30,
+            first_issue_at: 30,
             finished_at: 100,
         }
+    }
+
+    /// A retired TB with the given lifecycle stamps, in order: created,
+    /// matured, schedulable, dispatched, first issue, finished.
+    fn stamped(tb: (u32, u32), parent: Option<(u32, u32)>, stamps: [Cycle; 6]) -> TbRecord {
+        TbRecord {
+            tb: TbRef { batch: BatchId(tb.0), index: tb.1 },
+            parent: parent.map(|(b, i)| (BatchId(b), i, SmxId(0))),
+            is_dynamic: parent.is_some(),
+            created_at: stamps[0],
+            matured_at: stamps[1],
+            schedulable_at: stamps[2],
+            dispatched_at: stamps[3],
+            first_issue_at: stamps[4],
+            finished_at: stamps[5],
+            ..record(false, 0, None)
+        }
+    }
+
+    #[test]
+    fn from_records_counts_out_of_order_stamps_as_violations() {
+        let good = stamped((0, 0), None, [0, 0, 2, 5, 6, 40]);
+        // Dispatched before it became schedulable.
+        let bad = stamped((0, 1), None, [0, 0, 9, 5, 6, 40]);
+        let lat = LatencyStats::from_records(&[good, bad], 3);
+        assert_eq!(lat.partition_violations, 1);
+        assert_eq!(lat.tbs, 1);
+        assert_eq!(lat.kmu_depth_hwm, 3);
+        for h in [&lat.launch_path, &lat.queue_wait, &lat.dispatch_gap, &lat.exec, &lat.lifetime] {
+            assert_eq!(h.count, 1, "the violating TB must stay out of every histogram");
+        }
+        assert_eq!(lat.lifetime.sum, 40);
+    }
+
+    #[test]
+    fn from_records_charges_a_never_issued_tb_to_exec() {
+        // An empty program retires in its dispatch cycle without issuing;
+        // the engine stamps retirement as its first issue, so it lands in
+        // every histogram (exec included) with an exact partition.
+        let empty = stamped((0, 0), None, [0, 1, 4, 9, 9, 9]);
+        // Still resident: skipped, not a violation.
+        let mut resident = stamped((0, 1), None, [0, 1, 4, 9, 0, 0]);
+        resident.first_issue_at = Cycle::MAX;
+        let lat = LatencyStats::from_records(&[empty, resident], 0);
+        assert_eq!((lat.tbs, lat.partition_violations), (1, 0));
+        assert_eq!((lat.exec.count, lat.exec.sum), (1, 0));
+        assert_eq!(lat.dispatch_gap.sum, 0);
+        assert_eq!(lat.kmu_wait.sum, 3);
+        assert_eq!(
+            lat.launch_path.sum + lat.queue_wait.sum + lat.dispatch_gap.sum + lat.exec.sum,
+            lat.lifetime.sum
+        );
+        assert_eq!(lat.lifetime.sum, 9);
+    }
+
+    #[test]
+    fn critical_path_partitions_its_weight() {
+        // root (B0.0) launches B1.0 at cycle 12, which launches B2.0 at
+        // 30; B2.0 retires last. B0.1 is off the path.
+        let records = [
+            stamped((0, 0), None, [0, 0, 1, 2, 4, 50]),
+            stamped((0, 1), None, [0, 0, 1, 3, 5, 20]),
+            stamped((1, 0), Some((0, 0)), [12, 14, 14, 18, 19, 60]),
+            stamped((2, 0), Some((1, 0)), [30, 31, 31, 40, 41, 90]),
+        ];
+        assert_eq!(critical_path_chain(&records), vec![0, 2, 3]);
+        let cp = CriticalPath::from_records(&records);
+        assert_eq!(cp.len, 3);
+        assert_eq!(cp.cycles, 90);
+        // Queue: (4-0) + (19-12) + (41-30); exec: (12-4) + (30-19) + (90-41).
+        assert_eq!(cp.queue_cycles, 4 + 7 + 11);
+        assert_eq!(cp.exec_cycles, 8 + 11 + 49);
+        assert_eq!(cp.queue_cycles + cp.exec_cycles, cp.cycles);
+        assert_eq!(LatencyStats::from_records(&records, 0).critical_path, cp);
+        // No retired TB, no path.
+        assert_eq!(CriticalPath::from_records(&[]), CriticalPath::default());
     }
 
     #[test]
@@ -1167,13 +1366,7 @@ mod tests {
         lifetime.record(64);
         stats.latency = Some(LatencyStats {
             lifetime,
-            critical_path: CriticalPath {
-                len: 2,
-                cycles: 90,
-                queue_cycles: 30,
-                exec_cycles: 60,
-                chain: vec![],
-            },
+            critical_path: CriticalPath { len: 2, cycles: 90, queue_cycles: 30, exec_cycles: 60 },
             ..Default::default()
         });
         let s = stats.summary();

@@ -33,7 +33,7 @@ pub fn runs_to_csv(records: &[RunRecord]) -> String {
                     "{},{},{}",
                     lat.child_queue_wait.percentile(0.50),
                     lat.child_queue_wait.percentile(0.99),
-                    lat.critical_path_cycles,
+                    lat.critical_path.cycles,
                 )
             },
         );
@@ -163,9 +163,9 @@ mod tests {
         for v in [4, 5, 6, 200] {
             child_queue_wait.record(v);
         }
-        r.latency = Some(crate::harness::LatencyRecord {
+        r.latency = Some(gpu_sim::stats::LatencyStats {
             child_queue_wait,
-            critical_path_cycles: 950,
+            critical_path: gpu_sim::stats::CriticalPath { cycles: 950, ..Default::default() },
             ..Default::default()
         });
         let csv = runs_to_csv(&[r]);

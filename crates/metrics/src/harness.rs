@@ -9,7 +9,7 @@ use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
 use gpu_sim::error::SimError;
 use gpu_sim::fault::FaultPlan;
-use gpu_sim::stats::{Pow2Hist, SimStats, StallBreakdown, NUM_WAKE_SOURCES};
+use gpu_sim::stats::{LatencyStats, Pow2Hist, SimStats, StallBreakdown, NUM_WAKE_SOURCES};
 use gpu_sim::tb_sched::{RoundRobinScheduler, TbScheduler};
 use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
 use workloads::{SharedSource, Workload};
@@ -151,53 +151,6 @@ pub struct EngineRecord {
     pub jump_len: Pow2Hist,
 }
 
-/// Per-TB lifecycle latency summary of one profiled run: the
-/// deterministic aggregation of [`gpu_sim::stats::LatencyStats`] (the
-/// critical-path TB chain stays sim-side; documents carry only its
-/// weights). Present only when the run's [`GpuConfig::profile_latency`]
-/// was on.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LatencyRecord {
-    /// TBs recorded into the histograms.
-    pub tbs: u64,
-    /// TBs with out-of-order lifecycle stamps (must be 0; gated by the
-    /// `lat-partition-exact` shape assertion).
-    pub partition_violations: u64,
-    /// High-water mark of the KMU pending-kernel queue depth.
-    pub kmu_depth_hwm: u64,
-    /// Launch issue to scheduler enqueue, all TBs.
-    pub launch_path: Pow2Hist,
-    /// KMU maturation to scheduler enqueue (informational sub-interval
-    /// of `launch_path`).
-    pub kmu_wait: Pow2Hist,
-    /// Scheduler enqueue to SMX dispatch, all TBs.
-    pub queue_wait: Pow2Hist,
-    /// SMX dispatch to first instruction issue, all TBs.
-    pub dispatch_gap: Pow2Hist,
-    /// First instruction issue to retirement, all TBs.
-    pub exec: Pow2Hist,
-    /// Full lifetime (launch issue to retirement), all TBs.
-    pub lifetime: Pow2Hist,
-    /// `queue_wait` restricted to dynamic (child) TBs.
-    pub child_queue_wait: Pow2Hist,
-    /// `child_queue_wait` for children on their parent's SMX.
-    pub bound_queue_wait: Pow2Hist,
-    /// `child_queue_wait` for children placed elsewhere.
-    pub stolen_queue_wait: Pow2Hist,
-    /// `queue_wait` by batch nesting depth (0 = host kernels).
-    pub depth_queue_wait: Vec<(u8, Pow2Hist)>,
-    /// `lifetime` rolled up per kernel kind.
-    pub kind_lifetime: Vec<(u16, Pow2Hist)>,
-    /// TBs on the launch-DAG critical path.
-    pub critical_path_len: u32,
-    /// Total critical-path weight in cycles.
-    pub critical_path_cycles: u64,
-    /// Critical-path cycles attributed to queueing.
-    pub critical_path_queue: u64,
-    /// Critical-path cycles attributed to execution.
-    pub critical_path_exec: u64,
-}
-
 /// Host-side cost of producing one sweep cell: wall time and (when
 /// engine profiling was on) the component that dominated it. This is
 /// telemetry, not a measurement of the simulated machine — it varies
@@ -276,7 +229,7 @@ pub struct RunRecord {
     pub engine: Option<EngineRecord>,
     /// Per-TB lifecycle latency summary (`None` unless the run profiled
     /// latency).
-    pub latency: Option<LatencyRecord>,
+    pub latency: Option<LatencyStats>,
     /// Host-side cost telemetry (always recorded; excluded from
     /// equality and from repro.json).
     pub host: HostCost,
@@ -336,26 +289,7 @@ impl RunRecord {
                 events_per_cycle: eng.events_per_cycle,
                 jump_len: eng.jump_len,
             }),
-            latency: stats.latency.as_ref().map(|lat| LatencyRecord {
-                tbs: lat.tbs,
-                partition_violations: lat.partition_violations,
-                kmu_depth_hwm: lat.kmu_depth_hwm,
-                launch_path: lat.launch_path,
-                kmu_wait: lat.kmu_wait,
-                queue_wait: lat.queue_wait,
-                dispatch_gap: lat.dispatch_gap,
-                exec: lat.exec,
-                lifetime: lat.lifetime,
-                child_queue_wait: lat.child_queue_wait,
-                bound_queue_wait: lat.bound_queue_wait,
-                stolen_queue_wait: lat.stolen_queue_wait,
-                depth_queue_wait: lat.depth_queue_wait.clone(),
-                kind_lifetime: lat.kind_lifetime.clone(),
-                critical_path_len: lat.critical_path.len,
-                critical_path_cycles: lat.critical_path.cycles,
-                critical_path_queue: lat.critical_path.queue_cycles,
-                critical_path_exec: lat.critical_path.exec_cycles,
-            }),
+            latency: stats.latency.clone(),
             host: HostCost {
                 ns: 0, // filled in by the runner, which owns the clock
                 dominant_component: stats

@@ -9,9 +9,11 @@
 //! `repro.json` for any `--jobs N`" guarantee checkable by comparing
 //! document strings.
 
-use crate::harness::{EngineRecord, HostCost, LatencyRecord, LocalityRecord, RunRecord};
+use crate::harness::{EngineRecord, HostCost, LocalityRecord, RunRecord};
 use gpu_sim::cache::NUM_REUSE_CLASSES;
-use gpu_sim::stats::{Pow2Hist, StallBreakdown, WakeSource, NUM_WAKE_SOURCES};
+use gpu_sim::stats::{
+    CriticalPath, LatencyStats, Pow2Hist, StallBreakdown, WakeSource, NUM_WAKE_SOURCES,
+};
 
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -472,7 +474,7 @@ fn engine_from_json(v: &Json) -> Result<EngineRecord, String> {
     })
 }
 
-fn latency_to_json(lat: &LatencyRecord) -> Json {
+fn latency_to_json(lat: &LatencyStats) -> Json {
     let keyed = |key: &str, pairs: &[(u64, Pow2Hist)]| -> Json {
         Json::Arr(
             pairs
@@ -505,14 +507,14 @@ fn latency_to_json(lat: &LatencyRecord) -> Json {
         ("stolen_queue_wait".into(), hist_to_json(&lat.stolen_queue_wait)),
         ("depth_queue_wait".into(), keyed("depth", &depths)),
         ("kind_lifetime".into(), keyed("kind", &kinds)),
-        ("critical_path_len".into(), Json::from_u64(u64::from(lat.critical_path_len))),
-        ("critical_path_cycles".into(), Json::from_u64(lat.critical_path_cycles)),
-        ("critical_path_queue".into(), Json::from_u64(lat.critical_path_queue)),
-        ("critical_path_exec".into(), Json::from_u64(lat.critical_path_exec)),
+        ("critical_path_len".into(), Json::from_u64(u64::from(lat.critical_path.len))),
+        ("critical_path_cycles".into(), Json::from_u64(lat.critical_path.cycles)),
+        ("critical_path_queue".into(), Json::from_u64(lat.critical_path.queue_cycles)),
+        ("critical_path_exec".into(), Json::from_u64(lat.critical_path.exec_cycles)),
     ])
 }
 
-fn latency_from_json(v: &Json) -> Result<LatencyRecord, String> {
+fn latency_from_json(v: &Json) -> Result<LatencyStats, String> {
     let u64_field = |key: &str| -> Result<u64, String> {
         v.get(key)
             .and_then(Json::as_u64)
@@ -559,7 +561,7 @@ fn latency_from_json(v: &Json) -> Result<LatencyRecord, String> {
         .into_iter()
         .map(|(k, h)| Ok((narrow("kind", k, u64::from(u16::MAX))? as u16, h)))
         .collect::<Result<Vec<_>, String>>()?;
-    Ok(LatencyRecord {
+    Ok(LatencyStats {
         tbs: u64_field("tbs")?,
         partition_violations: u64_field("partition_violations")?,
         kmu_depth_hwm: u64_field("kmu_depth_hwm")?,
@@ -574,11 +576,13 @@ fn latency_from_json(v: &Json) -> Result<LatencyRecord, String> {
         stolen_queue_wait: hist_field("stolen_queue_wait")?,
         depth_queue_wait,
         kind_lifetime,
-        critical_path_len: u32::try_from(u64_field("critical_path_len")?)
-            .map_err(|_| "latency critical_path_len out of range".to_string())?,
-        critical_path_cycles: u64_field("critical_path_cycles")?,
-        critical_path_queue: u64_field("critical_path_queue")?,
-        critical_path_exec: u64_field("critical_path_exec")?,
+        critical_path: CriticalPath {
+            len: u32::try_from(u64_field("critical_path_len")?)
+                .map_err(|_| "latency critical_path_len out of range".to_string())?,
+            cycles: u64_field("critical_path_cycles")?,
+            queue_cycles: u64_field("critical_path_queue")?,
+            exec_cycles: u64_field("critical_path_exec")?,
+        },
     })
 }
 
@@ -835,7 +839,7 @@ mod tests {
         assert!(!profiled_text.contains("dram"));
     }
 
-    fn latency() -> LatencyRecord {
+    fn latency() -> LatencyStats {
         let hist = |vals: &[u64]| {
             let mut h = Pow2Hist::default();
             for &v in vals {
@@ -843,7 +847,7 @@ mod tests {
             }
             h
         };
-        LatencyRecord {
+        LatencyStats {
             tbs: 12,
             partition_violations: 0,
             kmu_depth_hwm: 4,
@@ -858,10 +862,12 @@ mod tests {
             stolen_queue_wait: hist(&[130]),
             depth_queue_wait: vec![(0, hist(&[0])), (1, hist(&[5, 130]))],
             kind_lifetime: vec![(0, hist(&[70])), (3, hist(&[400, 900]))],
-            critical_path_len: 3,
-            critical_path_cycles: 950,
-            critical_path_queue: 200,
-            critical_path_exec: 750,
+            critical_path: CriticalPath {
+                len: 3,
+                cycles: 950,
+                queue_cycles: 200,
+                exec_cycles: 750,
+            },
         }
     }
 

@@ -30,7 +30,7 @@
 //! about: well-formed shape, non-decreasing `ts`, and matched `b`/`e`
 //! pairs.
 
-use gpu_sim::stats::{MachineSample, SimStats, ENGINE_HOST_COMPONENTS};
+use gpu_sim::stats::{critical_path_chain, MachineSample, SimStats, ENGINE_HOST_COMPONENTS};
 use gpu_sim::trace::{TraceEvent, TraceRecord};
 use std::collections::HashMap;
 
@@ -131,19 +131,10 @@ pub fn perfetto_json(
     // child's track at its dispatch cycle. The arrow's length on screen
     // IS the child's launch-path + queue-wait — the scheduling-induced
     // part of the critical path.
-    if let Some(lat) = &stats.latency {
-        let mut index_of: HashMap<(u32, u32), usize> = HashMap::new();
-        for (i, r) in stats.tb_records.iter().enumerate() {
-            index_of.insert((r.tb.batch.0, r.tb.index), i);
-        }
-        for (edge, pair) in lat.critical_path.chain.windows(2).enumerate() {
-            let (Some(&pi), Some(&ci)) = (
-                index_of.get(&(pair[0].batch.0, pair[0].index)),
-                index_of.get(&(pair[1].batch.0, pair[1].index)),
-            ) else {
-                continue;
-            };
-            let (parent, child) = (&stats.tb_records[pi], &stats.tb_records[ci]);
+    if stats.latency.is_some() {
+        let chain = critical_path_chain(&stats.tb_records);
+        for (edge, pair) in chain.windows(2).enumerate() {
+            let (parent, child) = (&stats.tb_records[pair[0]], &stats.tb_records[pair[1]]);
             let queue_wait = child.dispatched_at.saturating_sub(child.created_at);
             push(
                 child.created_at,
@@ -537,7 +528,10 @@ mod tests {
             is_dynamic: dynamic,
             parent: dynamic.then_some((BatchId(0), 0, SmxId(0))),
             created_at: span.0.saturating_sub(2),
+            matured_at: span.0.saturating_sub(2),
+            schedulable_at: span.0.saturating_sub(2),
             dispatched_at: span.0,
+            first_issue_at: span.0,
             finished_at: span.1,
         }
     }
@@ -665,26 +659,17 @@ mod tests {
 
     #[test]
     fn critical_path_flows_emitted_only_for_latency_profiled_runs() {
-        use gpu_sim::stats::{CriticalPath, LatencyStats};
+        use gpu_sim::stats::LatencyStats;
 
         let plain = perfetto_json(&[], &sample_stats(), &[], 4);
         assert_eq!(validate_trace(&plain).unwrap().flows, 0);
         assert!(!plain.contains("critical_path"));
 
+        // The chain is recomputed from the TB records: the child B1.0
+        // retires last and its parent B0.0 has retired.
         let mut stats = sample_stats();
-        stats.latency = Some(LatencyStats {
-            critical_path: CriticalPath {
-                len: 2,
-                cycles: 70,
-                queue_cycles: 20,
-                exec_cycles: 50,
-                chain: vec![
-                    TbRef { batch: BatchId(0), index: 0 },
-                    TbRef { batch: BatchId(1), index: 0 },
-                ],
-            },
-            ..LatencyStats::default()
-        });
+        stats.latency = Some(LatencyStats::from_records(&stats.tb_records, 0));
+        assert_eq!(stats.latency.as_ref().unwrap().critical_path.len, 2);
         let profiled = perfetto_json(&[], &stats, &[], 4);
         let check = validate_trace(&profiled).expect("valid trace");
         assert_eq!(check.flows, 1, "one edge in a two-TB chain");

@@ -232,6 +232,41 @@ fn wedge_during_quiescence_still_trips_watchdog() {
     assert_eq!(outcomes[0], outcomes[1], "engines diagnosed the wedge differently");
 }
 
+/// The one documented behavioural difference between the engines
+/// (docs/ARCHITECTURE.md, "Idle-cycle skipping"): a single legitimate op
+/// that idles the machine for longer than `watchdog_window`. The
+/// reference steps every quiet cycle, sees no progress across a full
+/// window, and trips the watchdog; the event engine's jump lands on the
+/// op's completion, which re-arms the deadline past it, so the run
+/// completes.
+#[test]
+fn one_long_idle_op_trips_only_the_reference_watchdog() {
+    struct OneLongOp;
+    impl ProgramSource for OneLongOp {
+        fn tb_program(&self, _kind: KernelKindId, _param: u64, _tb: u32) -> TbProgram {
+            TbProgram::new(vec![TbOp::Compute(5_000)])
+        }
+    }
+    for engine in [EngineMode::Event, EngineMode::CycleStepped] {
+        let mut cfg = base_cfg();
+        cfg.engine_mode = engine;
+        cfg.watchdog_window = Some(1_000);
+        let mut sim = Simulator::new(cfg, Box::new(OneLongOp));
+        sim.launch_host_kernel(KernelKindId(0), 0, 1, gpu_sim::kernel::ResourceReq::new(32, 8, 0))
+            .expect("host launch");
+        match (engine, sim.run_to_completion()) {
+            (EngineMode::CycleStepped, Err(SimError::NoForwardProgress { window, .. })) => {
+                assert_eq!(window, 1_000);
+            }
+            (EngineMode::Event, Ok(stats)) => {
+                assert!(stats.cycles > 5_000, "the op's idle stretch was not simulated");
+                assert_eq!(stats.tb_records.len(), 1);
+            }
+            (engine, other) => panic!("{engine}: unexpected outcome {other:?}"),
+        }
+    }
+}
+
 /// Both fault layers at once: simulator-level fault plans (seed-derived
 /// per cell) composed with harness-level injections (a panicking cell,
 /// a wedged cell). The harness layer must recover independently — its
