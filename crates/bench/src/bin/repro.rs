@@ -91,13 +91,16 @@
 use std::sync::Arc;
 
 use gpu_sim::config::{EngineMode, GpuConfig};
-use laperm_bench::sweep::{footprint_rows, matrix_cells_for, run_matrix_cells, sweep_config};
+use laperm_bench::sweep::{
+    footprint_analyses, matrix_cells_for, run_matrix_cells, sweep_config, FootprintRow,
+};
 use laperm_bench::{
     ablate, check_document, default_jobs, fig2, fig7, fig8, fig9, figure4, full_report, generality,
     latency_report, locality, overhead, profile, render_check_report, saturation, suite_for_path,
     sweep_cache, table1, table2, timeline, variance, CheckVerdict, MatrixRecords, ProgramPath,
     Resilience, SweepDoc,
 };
+use sim_metrics::FootprintAnalysis;
 use wdsl::{CompiledWorkload, ExecMode};
 use workloads::{Scale, Workload};
 
@@ -180,14 +183,16 @@ fn parse_args() -> Args {
 /// resilient executor `repro all` uses (honouring `--engine`,
 /// `--programs` and the resilience flags), writes the document to
 /// `json` when given, and prints `render`'s report over the completed
-/// records. `profiled` turns on engine introspection and latency
-/// attribution. Failed cells print as `FAILED` lines and a `DEGRADED`
-/// banner ahead of the report, then the process exits 1.
+/// records and Figure 2's footprint analyses (computed once, for the
+/// document, only when `json` is given; empty otherwise). `profiled`
+/// turns on engine introspection and latency attribution. Failed cells
+/// print as `FAILED` lines and a `DEGRADED` banner ahead of the report,
+/// then the process exits 1.
 fn run_matrix_command(
     args: &Args,
     profiled: bool,
     json: Option<&str>,
-    render: impl FnOnce(&MatrixRecords) -> String,
+    render: impl FnOnce(&MatrixRecords, &[FootprintAnalysis]) -> String,
 ) {
     let fatal = |e: String| -> ! {
         eprintln!("{e}");
@@ -198,10 +203,11 @@ fn run_matrix_command(
     let (mut doc, report) =
         SweepDoc::build_matrix(args.scale, 0, args.jobs, &cfg, &suite, &args.resilience)
             .unwrap_or_else(|e| fatal(e));
-    // Only the written document carries Figure 2's footprint rows; the
-    // reports recompute what they print.
+    // Only the written document carries Figure 2's footprint rows.
+    let mut footprints = Vec::new();
     if let Some(path) = json {
-        doc.footprints = footprint_rows(&suite, args.jobs);
+        footprints = footprint_analyses(&suite, args.jobs);
+        doc.footprints = footprints.iter().map(FootprintRow::from).collect();
         std::fs::write(path, doc.to_json())
             .unwrap_or_else(|e| fatal(format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
@@ -224,7 +230,7 @@ fn run_matrix_command(
     if let Some(banner) = &banner {
         print!("{banner}");
     }
-    print!("{}", render(&MatrixRecords::from_records(doc.records)));
+    print!("{}", render(&MatrixRecords::from_records(doc.records), &footprints));
     if banner.is_some() {
         std::process::exit(1);
     }
@@ -318,16 +324,16 @@ fn main() {
         "table2" => println!("{}", table2(args.scale)),
         "fig2" => println!("{}", fig2(args.scale, args.jobs)),
         "fig4" => println!("{}", figure4()),
-        "fig7" => run_matrix_command(&args, false, None, |m| format!("{}\n", fig7(m))),
-        "fig8" => run_matrix_command(&args, false, None, |m| format!("{}\n", fig8(m))),
-        "fig9" => run_matrix_command(&args, false, None, |m| format!("{}\n", fig9(m))),
-        "locality" => run_matrix_command(&args, false, None, |m| format!("{}\n", locality(m))),
+        "fig7" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", fig7(m))),
+        "fig8" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", fig8(m))),
+        "fig9" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", fig9(m))),
+        "locality" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", locality(m))),
         "latency" => {
-            run_matrix_command(&args, true, None, |m| latency_report(args.scale, args.jobs, m))
+            run_matrix_command(&args, true, None, |m, _| latency_report(args.scale, args.jobs, m))
         }
         "timeline" => println!("{}", timeline(args.scale, args.jobs)),
         "variance" => println!("{}", variance(args.scale, args.jobs)),
-        "csv" => run_matrix_command(&args, false, None, |m| {
+        "csv" => run_matrix_command(&args, false, None, |m, _| {
             sim_metrics::export::runs_to_csv(m.records())
         }),
         "cache" => println!("{}", sweep_cache(args.scale, args.jobs)),
@@ -341,11 +347,13 @@ fn main() {
         // and latency shape assertions against it.
         "all" => {
             let path = args.json_path.as_deref().unwrap_or("repro.json");
-            run_matrix_command(&args, false, Some(path), |m| full_report(args.scale, args.jobs, m))
+            run_matrix_command(&args, false, Some(path), |m, fp| {
+                full_report(args.scale, args.jobs, m, fp)
+            })
         }
         "profile" => {
             let path = args.json_path.as_deref().unwrap_or("repro_profile.json");
-            run_matrix_command(&args, true, Some(path), profile)
+            run_matrix_command(&args, true, Some(path), |m, _| profile(m))
         }
         "check" => run_check(&args),
         "dsl" => run_dsl(&args),

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use dynpar::{DtblModel, LaunchLatency, LaunchModelKind};
 use gpu_sim::config::GpuConfig;
-use sim_metrics::footprint::FootprintSummary;
+use sim_metrics::footprint::{FootprintAnalysis, FootprintSummary};
 use sim_metrics::harness::{run_once, run_with_latency, LocalityRecord, RunRecord, SchedulerKind};
 use sim_metrics::report::{mean, pct, ratio, Table};
 use workloads::{suite, Scale, Workload};
@@ -99,11 +99,12 @@ pub fn table2(scale: Scale) -> String {
 /// TBs (plus the parent-parent baseline quoted in the text). The
 /// per-workload analyses fan out over `jobs` workers.
 pub fn fig2(scale: Scale, jobs: usize) -> String {
-    use sim_metrics::FootprintAnalysis;
-    let all = suite(scale);
-    let summary = FootprintSummary {
-        rows: crate::sweep::parallel_map(&all, jobs, |w| FootprintAnalysis::analyze(w.as_ref())),
-    };
+    render_fig2(scale, &crate::sweep::footprint_analyses(&suite(scale), jobs))
+}
+
+/// Renders Figure 2 from the suite's footprint analyses, in suite order.
+pub fn render_fig2(scale: Scale, rows: &[FootprintAnalysis]) -> String {
+    let summary = FootprintSummary { rows: rows.to_vec() };
     let mut t = Table::new(vec![
         "workload",
         "parent-child",
@@ -1002,14 +1003,21 @@ pub fn latency_report(scale: Scale, jobs: usize, m: &MatrixRecords) -> String {
 }
 
 /// The complete `repro all` text report: every section in order, each
-/// followed by a blank line. The `repro` binary prints exactly this
-/// string, and `tests/repro_snapshot.rs` diffs it byte-for-byte against
-/// the checked-in ci-scale golden — one definition, no drift.
-pub fn full_report(scale: Scale, jobs: usize, m: &MatrixRecords) -> String {
+/// followed by a blank line. Figure 2 renders `footprints`, the suite's
+/// analyses the sweep document also carries. The `repro` binary prints
+/// exactly this string, and `tests/repro_snapshot.rs` diffs it
+/// byte-for-byte against the checked-in ci-scale golden — one
+/// definition, no drift.
+pub fn full_report(
+    scale: Scale,
+    jobs: usize,
+    m: &MatrixRecords,
+    footprints: &[FootprintAnalysis],
+) -> String {
     let sections = [
         table1(),
         table2(scale),
-        fig2(scale, jobs),
+        render_fig2(scale, footprints),
         crate::figure4(),
         fig7(m),
         fig8(m),

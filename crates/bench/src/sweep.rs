@@ -228,6 +228,17 @@ pub struct FootprintRow {
     pub parent_parent: f64,
 }
 
+impl From<&FootprintAnalysis> for FootprintRow {
+    fn from(a: &FootprintAnalysis) -> Self {
+        FootprintRow {
+            workload: a.workload.clone(),
+            parent_child: a.parent_child,
+            child_sibling: a.child_sibling,
+            parent_parent: a.parent_parent,
+        }
+    }
+}
+
 /// The `repro.json` document: everything the shape-assertion suite
 /// needs, keyed by configuration, in canonical order.
 #[derive(Debug, Clone)]
@@ -279,19 +290,16 @@ pub fn sweep_config(engine_mode: EngineMode, profiled: bool) -> GpuConfig {
     cfg
 }
 
-/// Figure 2's shared-footprint ratios for every workload, fanned out
+/// Figure 2's shared-footprint analysis of every workload, fanned out
 /// over `jobs` workers: the document half of a sweep that simulates
 /// nothing.
+pub fn footprint_analyses(all: &[Arc<dyn Workload>], jobs: usize) -> Vec<FootprintAnalysis> {
+    parallel_map(all, jobs, |w| FootprintAnalysis::analyze(w.as_ref()))
+}
+
+/// [`footprint_analyses`] as the document's footprint rows.
 pub fn footprint_rows(all: &[Arc<dyn Workload>], jobs: usize) -> Vec<FootprintRow> {
-    parallel_map(all, jobs, |w| {
-        let a = FootprintAnalysis::analyze(w.as_ref());
-        FootprintRow {
-            workload: a.workload,
-            parent_child: a.parent_child,
-            child_sibling: a.child_sibling,
-            parent_parent: a.parent_parent,
-        }
-    })
+    footprint_analyses(all, jobs).iter().map(FootprintRow::from).collect()
 }
 
 impl SweepDoc {

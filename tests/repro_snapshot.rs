@@ -15,8 +15,9 @@
 use std::sync::OnceLock;
 
 use gpu_sim::config::EngineMode;
+use laperm_bench::sweep::footprint_analyses;
 use laperm_bench::{default_jobs, evaluate_shapes, full_report, MatrixRecords, SweepDoc};
-use workloads::Scale;
+use workloads::{suite, Scale};
 
 /// The ci-scale document, built once and shared by the plain-sweep
 /// tests here (each build is a full ci-scale sweep).
@@ -39,7 +40,8 @@ fn ci_scale_report_matches_golden() {
     let doc = ci_doc();
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
     let m = MatrixRecords::from_records(doc.records.clone());
-    let current = full_report(Scale::Ci, default_jobs(), &m);
+    let footprints = footprint_analyses(&suite(Scale::Ci), default_jobs());
+    let current = full_report(Scale::Ci, default_jobs(), &m, &footprints);
     assert_eq!(
         current, golden,
         "ci-scale reproduction report drifted from tests/golden/repro_ci.txt"
