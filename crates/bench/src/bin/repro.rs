@@ -221,6 +221,7 @@ fn run_matrix_command(
             report.cache_hits, report.cache_misses, report.committed
         );
     }
+    eprintln!("programs: {} built, {} served", report.programs_built, report.programs_served);
     for f in &doc.failures {
         eprintln!("FAILED {}/{}/{}: {}", f.workload, f.launch_model, f.scheduler, f.error);
     }

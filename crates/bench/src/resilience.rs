@@ -37,12 +37,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dynpar::LaunchLatency;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::error::SimError;
 use gpu_sim::fault::{Fault, FaultPlan};
+use gpu_sim::lowered::ProgramMemo;
 use gpu_sim::types::SmxId;
 use sim_metrics::harness::{run_with_latency_faulted, RunRecord};
 use sim_metrics::journal::{fnv1a64, JournalWriter};
@@ -70,10 +71,11 @@ const MAX_BACKOFF_MS: u64 = 2_000;
 /// The content address of one matrix cell under one sweep
 /// configuration, as 32 hex digits (two independent FNV-1a 64 passes).
 /// Everything that can change a cell's statistics is folded in: the
-/// workload/model/scheduler ids, the sweep tag (scale + input seed),
-/// the full `GpuConfig` (engine mode, profiling flags, limits — via its
-/// `Debug` rendering), the simulator-level fault seed if any, the
-/// `repro.json` schema version, and [`CODE_FINGERPRINT`].
+/// workload/model/scheduler ids, the workload's program identity
+/// (`generator`, or a digest of its DSL source), the sweep tag (scale +
+/// input seed), the full `GpuConfig` (engine mode, profiling flags,
+/// limits — via its `Debug` rendering), the simulator-level fault seed
+/// if any, the `repro.json` schema version, and [`CODE_FINGERPRINT`].
 pub fn cell_key(
     cell: &MatrixCell,
     cfg: &GpuConfig,
@@ -94,10 +96,11 @@ pub fn cell_key_with_fingerprint(
     fingerprint: &str,
 ) -> String {
     let canonical = format!(
-        "schema=v{}|code={fingerprint}|sweep={sweep_tag}|workload={}|model={}|scheduler={}\
-         |sim_fault={sim_fault_seed:?}|cfg={cfg:?}",
+        "schema=v{}|code={fingerprint}|sweep={sweep_tag}|workload={}|programs={}|model={}\
+         |scheduler={}|sim_fault={sim_fault_seed:?}|cfg={cfg:?}",
         crate::sweep::SWEEP_SCHEMA_VERSION,
         cell.workload.full_name(),
+        cell.workload.program_id(),
         cell.model.name(),
         cell.scheduler.name(),
     );
@@ -472,6 +475,96 @@ pub struct ResilienceReport {
     pub journal_malformed: usize,
     /// Cell attempts that failed and were retried.
     pub retried_attempts: u64,
+    /// Distinct TB programs materialized and lowered (once per
+    /// workload, shared by its cells).
+    pub programs_built: u64,
+    /// TB programs the simulated cells dispatched, served from the
+    /// per-workload memos (`programs_built` of them built on a miss).
+    pub programs_served: u64,
+}
+
+/// The per-workload program memos of one sweep. A workload's memo is
+/// created when its first cell needs simulating (a fully cached
+/// workload never builds one) and dropped when its last cell finishes,
+/// so only the workloads in flight hold lowered programs.
+struct WorkloadMemos {
+    slots: Mutex<HashMap<usize, MemoSlot>>,
+    built: AtomicU64,
+    served: AtomicU64,
+}
+
+struct MemoSlot {
+    cells_left: usize,
+    memo: Option<Arc<ProgramMemo>>,
+}
+
+/// Cells share a memo exactly when they share a workload object.
+fn workload_id(cell: &MatrixCell) -> usize {
+    Arc::as_ptr(&cell.workload).cast::<()>() as usize
+}
+
+impl WorkloadMemos {
+    fn new(cells: &[MatrixCell]) -> Self {
+        let mut slots = HashMap::new();
+        for cell in cells {
+            slots
+                .entry(workload_id(cell))
+                .or_insert(MemoSlot { cells_left: 0, memo: None })
+                .cells_left += 1;
+        }
+        WorkloadMemos {
+            slots: Mutex::new(slots),
+            built: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<usize, MemoSlot>> {
+        // Every update is one map or counter operation, so the map is
+        // valid even if a holder panicked.
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memo `cell`'s workload shares, created on first use.
+    fn acquire(&self, cell: &MatrixCell, cfg: &GpuConfig) -> Arc<ProgramMemo> {
+        let mut slots = self.lock();
+        let slot = slots.entry(workload_id(cell)).or_insert(MemoSlot { cells_left: 1, memo: None });
+        slot.memo.get_or_insert_with(|| Arc::new(ProgramMemo::for_config(cfg))).clone()
+    }
+
+    /// Marks one of `cell`'s workload's cells finished; the last one
+    /// drops the memo and folds its counts into the totals.
+    fn release(&self, cell: &MatrixCell) {
+        let memo = {
+            let mut slots = self.lock();
+            let Some(slot) = slots.get_mut(&workload_id(cell)) else { return };
+            slot.cells_left = slot.cells_left.saturating_sub(1);
+            if slot.cells_left > 0 {
+                return;
+            }
+            slots.remove(&workload_id(cell)).and_then(|slot| slot.memo)
+        };
+        if let Some(memo) = memo {
+            self.built.fetch_add(memo.built(), Ordering::Relaxed);
+            self.served.fetch_add(memo.served(), Ordering::Relaxed);
+        }
+    }
+
+    /// Memos alive right now.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.lock().values().filter(|slot| slot.memo.is_some()).count()
+    }
+
+    /// `(built, served)` over every memo, released or not.
+    fn totals(&self) -> (u64, u64) {
+        let slots = self.lock();
+        let live = slots.values().filter_map(|slot| slot.memo.as_ref());
+        live.fold(
+            (self.built.load(Ordering::Relaxed), self.served.load(Ordering::Relaxed)),
+            |t, m| (t.0 + m.built(), t.1 + m.served()),
+        )
+    }
 }
 
 /// Runs a cell list under the resilience policy. Records and failures
@@ -509,8 +602,8 @@ pub fn run_matrix_cells_resilient(
     let committed = AtomicU64::new(0);
     let retried = AtomicU64::new(0);
 
-    let indices: Vec<usize> = (0..cells.len()).collect();
-    let results = run_cells(&indices, jobs, |&i| {
+    let memos = WorkloadMemos::new(cells);
+    let supervise = |i: usize| {
         let cell = &cells[i];
         let key = cache.as_ref().map(|_| cell_key(cell, &run_cfg, sweep_tag, res.sim_fault_seed));
         if let (Some(cache), Some(key)) = (&cache, &key) {
@@ -528,6 +621,7 @@ pub fn run_matrix_cells_resilient(
             misses.fetch_add(1, Ordering::Relaxed);
         }
 
+        let memo = memos.acquire(cell, &run_cfg);
         let total_attempts = res.retries.saturating_add(1);
         let mut last_cause = FailureCause::Panic("cell never attempted".to_string());
         for attempt in 1..=total_attempts {
@@ -535,7 +629,7 @@ pub fn run_matrix_cells_resilient(
                 retried.fetch_add(1, Ordering::Relaxed);
                 backoff(res.backoff_ms, attempt);
             }
-            match attempt_cell(cell, i, attempt, &run_cfg, &wedge_cfg, res) {
+            match attempt_cell(cell, i, attempt, &run_cfg, &wedge_cfg, res, &memo) {
                 Ok(record) => {
                     if let (Some(cache), Some(key)) = (&cache, &key) {
                         if let Err(e) = cache.commit(key, &record) {
@@ -579,6 +673,12 @@ pub fn run_matrix_cells_resilient(
             attempts: total_attempts,
             cause: last_cause,
         })
+    };
+    let indices: Vec<usize> = (0..cells.len()).collect();
+    let results = run_cells(&indices, jobs, |&i| {
+        let result = supervise(i);
+        memos.release(&cells[i]);
+        result
     });
 
     let mut records = Vec::new();
@@ -602,6 +702,7 @@ pub fn run_matrix_cells_resilient(
             }
         }
     }
+    let (programs_built, programs_served) = memos.totals();
     let report = ResilienceReport {
         cache_hits: hits.into_inner(),
         cache_misses: misses.into_inner(),
@@ -609,6 +710,8 @@ pub fn run_matrix_cells_resilient(
         journal_damage: cache.as_ref().and_then(|c| c.damage().map(str::to_string)),
         journal_malformed: cache.as_ref().map(CellCache::malformed).unwrap_or(0),
         retried_attempts: retried.into_inner(),
+        programs_built,
+        programs_served,
     };
     Ok((SweepOutcome { records, failures }, report))
 }
@@ -623,6 +726,7 @@ fn attempt_cell(
     run_cfg: &GpuConfig,
     wedge_cfg: &GpuConfig,
     res: &Resilience,
+    memo: &Arc<ProgramMemo>,
 ) -> Result<RunRecord, FailureCause> {
     let plan = res.faults.as_ref();
     let result = catch_unwind(AssertUnwindSafe(|| {
@@ -641,6 +745,7 @@ fn attempt_cell(
             cell.scheduler,
             cfg,
             fault_plan,
+            Some(memo),
         )
     }));
     match result {
@@ -766,6 +871,53 @@ mod tests {
         let mut other_cfg = cfg.clone();
         other_cfg.profile_locality = !cfg.profile_locality;
         assert_ne!(key(&cells[0]), cell_key(&cells[0], &other_cfg, "tiny/0", None));
+    }
+
+    #[test]
+    fn program_paths_never_share_cached_cells() {
+        // One workload's sub-matrix through the generator path fills
+        // the cache; the same cells served by the DSL port must miss.
+        let cfg = crate::sweep::sweep_config(gpu_sim::config::EngineMode::Event, false);
+        let dir = temp_dir("program-paths");
+        let res = Resilience { cache_dir: Some(dir.clone()), ..Resilience::default() };
+        let sweep = |path| {
+            let suite = crate::sweep::suite_for_path(Scale::Tiny, 0, path).unwrap();
+            let cells = crate::sweep::matrix_cells_for(&suite[..1]);
+            run_matrix_cells_resilient(&cells, 1, &cfg, "tiny/0", &res).unwrap()
+        };
+        let (generator, filled) = sweep(crate::sweep::ProgramPath::Generator);
+        assert_eq!((filled.cache_hits, filled.committed), (0, 8));
+        let (dsl, report) = sweep(crate::sweep::ProgramPath::Dsl);
+        assert_eq!((report.cache_hits, report.cache_misses), (0, 8), "DSL cells served from cache");
+        assert_eq!(dsl.records, generator.records);
+        // A second DSL sweep now hits its own cells.
+        assert_eq!(sweep(crate::sweep::ProgramPath::Dsl).1.cache_hits, 8);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_workload_memo_lives_from_first_simulated_cell_to_last_cell() {
+        let cells = cells();
+        let (a, b) = (&cells[0..8], &cells[8..16]);
+        let cfg = GpuConfig::kepler_k20c();
+        let memos = WorkloadMemos::new(&cells[..16]);
+        assert_eq!(memos.live(), 0, "memos are created lazily");
+        // Only cells that simulate acquire: a cached cell just releases.
+        memos.release(&a[0]);
+        let memo = memos.acquire(&a[1], &cfg);
+        assert!(Arc::ptr_eq(&memo, &memos.acquire(&a[7], &cfg)), "one memo per workload");
+        let other = memos.acquire(&b[0], &cfg);
+        assert!(!Arc::ptr_eq(&memo, &other));
+        assert_eq!(memos.live(), 2);
+        let weak = Arc::downgrade(&memo);
+        drop(memo);
+        for cell in &a[1..7] {
+            memos.release(cell);
+        }
+        assert!(weak.upgrade().is_some(), "released before the workload's last cell");
+        memos.release(&a[7]);
+        assert!(weak.upgrade().is_none(), "memo outlived its workload's last cell");
+        assert_eq!(memos.live(), 1);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Parallel sweep executor and the `repro.json` sweep document.
 //!
-//! [`run_cells`] is a work-queue executor: `jobs` scoped worker threads
-//! pull cell indices from a shared atomic counter, run each cell inside
+//! [`run_cells`] is a work-queue executor: `jobs` workers (the calling
+//! thread plus `jobs - 1` scoped threads) pull cell indices from a
+//! shared atomic counter, run each cell inside
 //! `catch_unwind` (one panicking run cannot take down the sweep), and
 //! store results *by input index*, so the output order — and therefore
 //! every rendered report — is identical for any job count and any
@@ -85,9 +86,12 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
-/// Runs `run` over `cells` on up to `jobs` worker threads and returns
-/// one result per cell, in input order. A panicking cell yields
-/// `Err(message)` for that cell only; all other cells still run.
+/// Runs `run` over `cells` on up to `jobs` threads and returns one
+/// result per cell, in input order. A panicking cell yields
+/// `Err(message)` for that cell only; all other cells still run. The
+/// calling thread is one of the `jobs` workers, so one job spawns no
+/// thread: a spawned worker allocates from its own malloc arena, which
+/// lingers as resident memory after the thread exits.
 pub fn run_cells<I, T, F>(cells: &[I], jobs: usize, run: F) -> Vec<Result<T, String>>
 where
     I: Sync,
@@ -98,18 +102,20 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..cells.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| run(&cells[i])))
-                    .map_err(|payload| panic_message(payload.as_ref()));
-                *slots[i].lock().expect("result slot") = Some(result);
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= cells.len() {
+            break;
         }
+        let result = catch_unwind(AssertUnwindSafe(|| run(&cells[i])))
+            .map_err(|payload| panic_message(payload.as_ref()));
+        *slots[i].lock().expect("result slot") = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(worker);
+        }
+        worker();
     });
     slots.into_iter().map(|slot| slot.into_inner().expect("slot lock").expect("cell ran")).collect()
 }
@@ -587,6 +593,19 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i + 1);
             }
         }
+    }
+
+    #[test]
+    fn one_job_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let out = run_cells(&[0, 1], 1, |_| std::thread::current().id());
+        assert!(out.into_iter().all(|id| id.unwrap() == caller));
+        let isolated = run_cells(&[0, 1], 1, |&i| {
+            assert!(i != 0, "first cell exploded");
+            i
+        });
+        assert!(isolated[0].as_ref().unwrap_err().contains("first cell exploded"));
+        assert_eq!(isolated[1], Ok(1));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::cache::{AccessClass, Lineage, ReuseClass};
@@ -14,6 +15,7 @@ use crate::kdu::Kdu;
 use crate::kernel::{Batch, BatchKind, BatchState, Origin, ResourceReq};
 use crate::kmu::Kmu;
 use crate::launch::{Delivery, DynamicLaunchModel, ImmediateLaunchModel, LaunchRequest};
+use crate::lowered::{LoweredProgram, ProgramMemo};
 use crate::mem::MemorySystem;
 use crate::program::{KernelKindId, ProgramSource};
 use crate::smx::{Smx, SmxResources, TbCompletion};
@@ -79,6 +81,10 @@ pub struct Simulator {
     scheduler: Box<dyn TbScheduler>,
     launch_model: Box<dyn DynamicLaunchModel>,
     source: Box<dyn ProgramSource>,
+    // Lowered programs shared with other simulations of the same
+    // workload (see `with_program_memo`); `None` lowers at every
+    // dispatch.
+    programs: Option<Arc<ProgramMemo>>,
     // KDU-FCFS-ordered list of schedulable batches; `sched_head` is a
     // lazily advanced cursor past exhausted prefix entries.
     sched_list: Vec<BatchId>,
@@ -170,6 +176,7 @@ impl Simulator {
             scheduler: Box::new(RoundRobinScheduler::new()),
             launch_model: Box::new(ImmediateLaunchModel::new()),
             source,
+            programs: None,
             sched_list: Vec::new(),
             sched_seq: Vec::new(),
             sched_head: 0,
@@ -232,6 +239,20 @@ impl Simulator {
     /// every cycle (asserted by `tests/determinism.rs`).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
+        self
+    }
+
+    /// Serves dispatched TBs' lowered programs from `memo`, building
+    /// missing entries from this simulator's program source. Every
+    /// simulation sharing a memo must run the same workload (programs
+    /// are keyed by `(kind, param, tb, threads)` alone).
+    ///
+    /// # Panics
+    ///
+    /// If `memo` was built for another warp width or line size.
+    pub fn with_program_memo(mut self, memo: Arc<ProgramMemo>) -> Self {
+        assert!(memo.matches(&self.cfg), "program memo built for another warp width or line size");
+        self.programs = Some(memo);
         self
     }
 
@@ -1221,6 +1242,28 @@ impl Simulator {
         }
     }
 
+    /// TB `tb` of a `(kind, param)` batch, lowered for `threads` threads:
+    /// served by the program memo when one is attached, otherwise
+    /// materialized from the source and lowered here.
+    fn lowered_program(
+        &self,
+        kind: KernelKindId,
+        param: u64,
+        tb: u32,
+        threads: u32,
+    ) -> Arc<LoweredProgram> {
+        let program = || self.source.tb_program(kind, param, tb);
+        match &self.programs {
+            Some(memo) => memo.get_or_lower(kind, param, tb, threads, program),
+            None => Arc::new(LoweredProgram::lower(
+                &program(),
+                threads,
+                self.cfg.warp_size,
+                self.cfg.line_bits(),
+            )),
+        }
+    }
+
     fn place(&mut self, d: DispatchDecision, now: Cycle) -> Result<(), SimError> {
         let Some(batch) = self.batches.get(d.batch.index()) else {
             return Err(SimError::BadDispatch {
@@ -1253,7 +1296,7 @@ impl Simulator {
         self.undispatched -= 1;
 
         let tb = TbRef { batch: d.batch, index: tb_index };
-        let program = self.source.tb_program(kind, param, tb_index);
+        let program = self.lowered_program(kind, param, tb_index, req.threads);
         let class = if origin.is_some() { AccessClass::Child } else { AccessClass::Parent };
         self.dispatch_seq += 1;
         if self.cfg.profile_locality {
@@ -1265,19 +1308,10 @@ impl Simulator {
                 req,
                 self.dispatch_seq,
                 now,
-                self.cfg.warp_size,
                 lineage,
             );
         } else {
-            self.smxs[d.smx.index()].place(
-                tb,
-                class,
-                program,
-                req,
-                self.dispatch_seq,
-                now,
-                self.cfg.warp_size,
-            );
+            self.smxs[d.smx.index()].place(tb, class, program, req, self.dispatch_seq, now);
         }
 
         if self.event_live {

@@ -51,6 +51,7 @@ pub mod kdu;
 pub mod kernel;
 pub mod kmu;
 pub mod launch;
+pub mod lowered;
 pub mod mem;
 pub mod program;
 pub mod smem;

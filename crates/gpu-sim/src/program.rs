@@ -271,10 +271,14 @@ impl TbProgram {
 
 /// Produces TB programs on demand.
 ///
-/// Implemented by workload generators. The simulator calls
-/// [`tb_program`](Self::tb_program) once per dispatched TB; the result is
-/// a pure function of `(kind, param, tb_index)` so footprint analysis and
-/// timing simulation see identical address streams.
+/// Implemented by workload generators. The result must be a pure
+/// function of `(kind, param, tb_index)`: footprint analysis and timing
+/// simulation then see identical address streams, and the engine may
+/// call [`tb_program`](Self::tb_program) whenever it needs a TB's
+/// program. A lone simulation calls it once per dispatched TB and
+/// lowers the result ([`crate::lowered`]); simulations sharing a
+/// [`ProgramMemo`](crate::lowered::ProgramMemo), as a sweep's cells of
+/// one workload do, call it once per distinct TB between them.
 pub trait ProgramSource: Send + Sync {
     /// Returns the program for TB `tb_index` of a batch with the given
     /// kind and parameter.

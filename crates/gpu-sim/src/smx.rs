@@ -3,18 +3,19 @@
 //! An SMX holds resident thread blocks subject to resource limits
 //! (threads, registers, shared memory, TB slots), and each cycle issues up
 //! to `issue_width` warp instructions chosen by its warp scheduler.
-//! Memory instructions are coalesced and sent to the memory system; the
-//! issuing warp blocks until the data returns.
+//! Memory instructions send their warp's precomputed line run (see
+//! [`crate::lowered`]) to the memory system; the issuing warp blocks
+//! until the data returns.
+
+use std::sync::Arc;
 
 use crate::cache::{AccessClass, Lineage, ReuseClass};
-use crate::coalesce::coalesce_into;
 use crate::config::GpuConfig;
 use crate::kernel::ResourceReq;
+use crate::lowered::{LoweredOp, LoweredProgram};
 use crate::mem::MemorySystem;
-use crate::program::{MemSpace, TbOp, TbProgram};
-use crate::smem::conflict_passes;
 use crate::stats::{BindReuse, StallBreakdown, StallCause};
-use crate::types::{Addr, Cycle, LineAddr, SmxId, TbRef};
+use crate::types::{Cycle, SmxId, TbRef};
 use crate::warp::Warp;
 use crate::warp_sched::{WarpCandidate, WarpScheduler};
 
@@ -73,8 +74,8 @@ pub struct ResidentTb {
     pub tb: TbRef,
     /// Statistics class (parent vs child).
     pub class: AccessClass,
-    /// The TB's program.
-    pub program: TbProgram,
+    /// The TB's program, lowered for its geometry.
+    pub program: Arc<LoweredProgram>,
     /// Warp execution contexts.
     pub warps: Vec<Warp>,
     /// Threads in the TB.
@@ -153,12 +154,10 @@ pub struct Smx {
     resident: Vec<ResidentTb>,
     warp_sched: Box<dyn WarpScheduler>,
     next_event: Cycle,
-    // Scratch buffers reused across cycles so the issue loop and the
-    // memory path allocate nothing in steady state.
+    // Scratch buffers reused across cycles so the issue loop allocates
+    // nothing in steady state.
     cand_scratch: Vec<WarpCandidate>,
     loc_scratch: Vec<(usize, usize)>,
-    addr_scratch: Vec<Addr>,
-    line_scratch: Vec<LineAddr>,
     /// Cycles in which at least one warp instruction issued.
     pub busy_cycles: u64,
     /// Stall cycles by cause; `busy_cycles + stall.total()` equals the
@@ -201,8 +200,6 @@ impl Smx {
             next_event: 0,
             cand_scratch: Vec::new(),
             loc_scratch: Vec::new(),
-            addr_scratch: Vec::new(),
-            line_scratch: Vec::new(),
             busy_cycles: 0,
             stall: StallBreakdown::default(),
             wait_cause: StallCause::NoTb,
@@ -270,25 +267,24 @@ impl Smx {
         stalls
     }
 
-    /// Places a TB onto this SMX.
+    /// Places a TB onto this SMX; `program` must be lowered for
+    /// `req.threads` threads and this configuration's warp width.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if the TB does not fit; the engine
     /// validates dispatch decisions before placing.
-    #[allow(clippy::too_many_arguments)]
     pub fn place(
         &mut self,
         tb: TbRef,
         class: AccessClass,
-        program: TbProgram,
+        program: Arc<LoweredProgram>,
         req: ResourceReq,
         dispatch_seq: u64,
         now: Cycle,
-        warp_size: u32,
     ) {
         let lineage = Lineage::new(tb, self.id);
-        self.place_traced(tb, class, program, req, dispatch_seq, now, warp_size, lineage);
+        self.place_traced(tb, class, program, req, dispatch_seq, now, lineage);
     }
 
     /// [`place`](Self::place) with an explicit ancestry, for runs with
@@ -299,16 +295,15 @@ impl Smx {
         &mut self,
         tb: TbRef,
         class: AccessClass,
-        program: TbProgram,
+        program: Arc<LoweredProgram>,
         req: ResourceReq,
         dispatch_seq: u64,
         now: Cycle,
-        warp_size: u32,
         lineage: Lineage,
     ) {
+        debug_assert_eq!(program.threads(), req.threads, "program lowered for another TB size");
         self.free.take(&req);
-        let num_warps = req.threads.div_ceil(warp_size).max(1);
-        let mut warps: Vec<Warp> = (0..num_warps).map(|w| Warp::new(w, now)).collect();
+        let mut warps: Vec<Warp> = (0..program.num_warps()).map(|w| Warp::new(w, now)).collect();
         if program.is_empty() {
             // Nothing to issue: mark all warps done so the TB retires on
             // the next step.
@@ -438,8 +433,6 @@ impl Smx {
         launch_credits: &mut u64,
         events: &mut SmxEvents,
     ) -> bool {
-        let mut addrs = std::mem::take(&mut self.addr_scratch);
-        let mut lines = std::mem::take(&mut self.line_scratch);
         let smx_id = self.id;
         // (bound-to-parent-SMX, L1 hits, parent-child L1 hits) from a
         // profiled child access; applied to `bind_reuse` after the TB
@@ -449,96 +442,80 @@ impl Smx {
         // Issuing changes this TB's warp state; force the post-issue pass
         // to rescan it and recompute its `next_packed`.
         tb.next_packed = now << 3;
-        // Borrow the op in place (cloning a `Gather` would copy nothing,
-        // but the enum move still showed up in profiles); only a rare
-        // `Launch` clones its spec below.
-        let op = &tb.program.ops()[tb.warps[wi].pc];
+        let op = tb.program.ops()[tb.warps[wi].pc];
         let warp_index = tb.warps[wi].index;
         let active_threads =
             cfg.warp_size.min(tb.threads.saturating_sub(warp_index * cfg.warp_size));
 
         let mut counted_threads = active_threads;
         match op {
-            TbOp::Compute(c) => {
+            LoweredOp::Compute(c) => {
                 self.instruction_mix.compute += 1;
-                let cost = u64::from((*c).max(1)) + u64::from(cfg.alu_latency);
+                let cost = u64::from(c.max(1)) + u64::from(cfg.alu_latency);
                 tb.warps[wi].set_ready(now + cost, StallCause::Scoreboard);
                 tb.warps[wi].pc += 1;
             }
-            TbOp::ComputeMasked { cycles, active } => {
+            LoweredOp::ComputeMasked { cycles, active } => {
                 self.instruction_mix.compute += 1;
-                counted_threads = (*active).min(active_threads);
-                let cost = u64::from((*cycles).max(1)) + u64::from(cfg.alu_latency);
+                counted_threads = active.min(active_threads);
+                let cost = u64::from(cycles.max(1)) + u64::from(cfg.alu_latency);
                 tb.warps[wi].set_ready(now + cost, StallCause::Scoreboard);
                 tb.warps[wi].pc += 1;
             }
-            TbOp::Mem(m) => {
-                match m.space {
-                    MemSpace::Shared => self.instruction_mix.shared += 1,
-                    MemSpace::Global if m.is_store => self.instruction_mix.stores += 1,
-                    MemSpace::Global => self.instruction_mix.loads += 1,
+            LoweredOp::Shared { passes } => {
+                self.instruction_mix.shared += 1;
+                let passes = u64::from(tb.program.passes(passes, warp_index));
+                let latency = u64::from(cfg.smem_latency) * passes;
+                tb.warps[wi].set_ready(now + latency, StallCause::Scoreboard);
+                tb.warps[wi].pc += 1;
+            }
+            LoweredOp::Global { is_store, runs } => {
+                if is_store {
+                    self.instruction_mix.stores += 1;
+                } else {
+                    self.instruction_mix.loads += 1;
                 }
-                let (latency, wait) = match m.space {
-                    MemSpace::Shared => {
-                        m.pattern.warp_addrs_into(
-                            warp_index,
-                            cfg.warp_size,
-                            tb.threads,
-                            &mut addrs,
-                        );
-                        let passes = u64::from(conflict_passes(&addrs));
-                        (u64::from(cfg.smem_latency) * passes, StallCause::Scoreboard)
-                    }
-                    MemSpace::Global => {
-                        m.pattern.warp_addrs_into(
-                            warp_index,
-                            cfg.warp_size,
-                            tb.threads,
-                            &mut addrs,
-                        );
-                        if addrs.is_empty() {
-                            (1, StallCause::Scoreboard)
-                        } else {
-                            coalesce_into(&addrs, cfg.line_bits(), &mut lines);
-                            let mshr_full_before = mem.mshr_full_events();
-                            let lat = if cfg.profile_locality {
-                                let before = *mem.l1_stats(smx_id);
-                                let lat = mem
-                                    .warp_access_traced(
-                                        smx_id,
-                                        &lines,
-                                        m.is_store,
-                                        tb.class,
-                                        now,
-                                        Some(&tb.lineage),
-                                    )
-                                    .max(1);
-                                if tb.class == AccessClass::Child {
-                                    let after = mem.l1_stats(smx_id);
-                                    let pc_idx = ReuseClass::ParentChild.index();
-                                    bind_delta = Some((
-                                        tb.lineage.parent_smx == Some(smx_id),
-                                        after.hits - before.hits,
-                                        after.prov.by_class[pc_idx] - before.prov.by_class[pc_idx],
-                                    ));
-                                }
-                                lat
-                            } else {
-                                mem.warp_access(smx_id, &lines, m.is_store, tb.class, now).max(1)
-                            };
-                            let wait = if mem.mshr_full_events() > mshr_full_before {
-                                StallCause::MshrFull
-                            } else {
-                                StallCause::MemoryPending
-                            };
-                            (lat, wait)
+                let lines = tb.program.lines(runs, warp_index);
+                let (latency, wait) = if lines.is_empty() {
+                    (1, StallCause::Scoreboard)
+                } else {
+                    let mshr_full_before = mem.mshr_full_events();
+                    let lat = if cfg.profile_locality {
+                        let before = *mem.l1_stats(smx_id);
+                        let lat = mem
+                            .warp_access_traced(
+                                smx_id,
+                                lines,
+                                is_store,
+                                tb.class,
+                                now,
+                                Some(&tb.lineage),
+                            )
+                            .max(1);
+                        if tb.class == AccessClass::Child {
+                            let after = mem.l1_stats(smx_id);
+                            let pc_idx = ReuseClass::ParentChild.index();
+                            bind_delta = Some((
+                                tb.lineage.parent_smx == Some(smx_id),
+                                after.hits - before.hits,
+                                after.prov.by_class[pc_idx] - before.prov.by_class[pc_idx],
+                            ));
                         }
-                    }
+                        lat
+                    } else {
+                        mem.warp_access(smx_id, lines, is_store, tb.class, now).max(1)
+                    };
+                    let wait = if mem.mshr_full_events() > mshr_full_before {
+                        StallCause::MshrFull
+                    } else {
+                        StallCause::MemoryPending
+                    };
+                    (lat, wait)
                 };
                 tb.warps[wi].set_ready(now + latency, wait);
                 tb.warps[wi].pc += 1;
             }
-            TbOp::Launch(spec) => {
+            LoweredOp::Launch(launch) => {
                 if warp_index == 0 {
                     if *launch_credits == 0 {
                         // Pending-launch buffer exhausted under the
@@ -546,14 +523,12 @@ impl Smx {
                         // retries next cycle. No instruction issues; the
                         // blocked cycle is charged to LaunchPath.
                         tb.warps[wi].set_ready(now + 1, StallCause::LaunchPath);
-                        self.addr_scratch = addrs;
-                        self.line_scratch = lines;
                         return false;
                     }
                     *launch_credits -= 1;
                     self.instruction_mix.launches += 1;
                     events.launches.push(IssuedLaunch {
-                        spec: spec.clone(),
+                        spec: tb.program.launch(launch).clone(),
                         by: tb.tb,
                         smx: smx_id,
                     });
@@ -567,7 +542,7 @@ impl Smx {
                 }
                 tb.warps[wi].pc += 1;
             }
-            TbOp::Sync => {
+            LoweredOp::Sync => {
                 self.instruction_mix.barriers += 1;
                 tb.warps[wi].at_barrier = true;
                 // pc advances when the barrier releases.
@@ -589,8 +564,6 @@ impl Smx {
                 self.bind_reuse.stolen_parent_child += parent_child;
             }
         }
-        self.addr_scratch = addrs;
-        self.line_scratch = lines;
         true
     }
 
@@ -681,12 +654,20 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
-    use crate::program::{AddrPattern, MemOp};
+    use crate::program::{AddrPattern, MemOp, TbOp, TbProgram};
     use crate::types::BatchId;
     use crate::warp_sched::GreedyThenOldest;
 
     fn smx(cfg: &GpuConfig) -> Smx {
         Smx::new(SmxId(0), cfg, Box::new(GreedyThenOldest::new()))
+    }
+
+    /// Places `program` as TB `i` with `threads` threads, lowered for
+    /// `cfg`.
+    fn place(s: &mut Smx, cfg: &GpuConfig, i: u32, program: TbProgram, threads: u32) {
+        let lowered = LoweredProgram::lower(&program, threads, cfg.warp_size, cfg.line_bits());
+        let req = ResourceReq::new(threads, 8, 0);
+        s.place(tb_ref(i), AccessClass::Parent, Arc::new(lowered), req, u64::from(i), 0);
     }
 
     fn tb_ref(i: u32) -> TbRef {
@@ -732,7 +713,7 @@ mod tests {
         let mut mem = MemorySystem::new(&cfg);
         let mut s = smx(&cfg);
         let prog = TbProgram::new(vec![TbOp::Compute(3), TbOp::Compute(3)]);
-        s.place(tb_ref(0), AccessClass::Parent, prog, ResourceReq::new(32, 8, 0), 0, 0, 32);
+        place(&mut s, &cfg, 0, prog, 32);
         let completions = run_until_empty(&mut s, &mut mem, &cfg);
         assert_eq!(completions.len(), 1);
         assert_eq!(completions[0].tb, tb_ref(0));
@@ -746,10 +727,25 @@ mod tests {
         let mut mem = MemorySystem::new(&cfg);
         let mut s = smx(&cfg);
         let prog = TbProgram::new(vec![TbOp::Mem(MemOp::load(AddrPattern::Broadcast(0)))]);
-        s.place(tb_ref(0), AccessClass::Parent, prog, ResourceReq::new(32, 8, 0), 0, 0, 32);
+        place(&mut s, &cfg, 0, prog, 32);
         let completions = run_until_empty(&mut s, &mut mem, &cfg);
         let total = u64::from(cfg.l1_hit_latency + cfg.l2_hit_latency + cfg.dram_latency);
         assert!(completions[0].finished_at >= total);
+    }
+
+    #[test]
+    fn each_warp_sends_its_own_lines() {
+        let cfg = GpuConfig::small_test();
+        let mut mem = MemorySystem::new(&cfg);
+        let mut s = smx(&cfg);
+        // Thread t loads line t: warp 0 touches lines 0..32, warp 1
+        // lines 32..64, so every access is a cold miss.
+        let stride = cfg.line_bytes;
+        let load = MemOp::load(AddrPattern::Strided { base: 0, stride });
+        place(&mut s, &cfg, 0, TbProgram::new(vec![TbOp::Mem(load)]), 64);
+        run_until_empty(&mut s, &mut mem, &cfg);
+        let l1 = mem.l1_stats(SmxId(0));
+        assert_eq!((l1.hits, l1.misses), (0, 64));
     }
 
     #[test]
@@ -759,7 +755,7 @@ mod tests {
         let mut s = smx(&cfg);
         // Two warps; barrier between two compute phases.
         let prog = TbProgram::new(vec![TbOp::Compute(2), TbOp::Sync, TbOp::Compute(2)]);
-        s.place(tb_ref(0), AccessClass::Parent, prog, ResourceReq::new(64, 8, 0), 0, 0, 32);
+        place(&mut s, &cfg, 0, prog, 64);
         let completions = run_until_empty(&mut s, &mut mem, &cfg);
         assert_eq!(completions.len(), 1);
     }
@@ -777,7 +773,7 @@ mod tests {
         };
         // Two warps but only warp 0 should emit the launch.
         let prog = TbProgram::new(vec![TbOp::Launch(spec.clone())]);
-        s.place(tb_ref(0), AccessClass::Parent, prog, ResourceReq::new(64, 8, 0), 0, 0, 32);
+        place(&mut s, &cfg, 0, prog, 64);
         let mut launches = Vec::new();
         for now in 0..1000 {
             let ev = s.step(now, &mut mem, &cfg);
@@ -802,15 +798,7 @@ mod tests {
             num_tbs: 1,
             req: ResourceReq::new(32, 8, 0),
         };
-        s.place(
-            tb_ref(0),
-            AccessClass::Parent,
-            TbProgram::new(vec![TbOp::Launch(spec)]),
-            ResourceReq::new(32, 8, 0),
-            0,
-            0,
-            32,
-        );
+        place(&mut s, &cfg, 0, TbProgram::new(vec![TbOp::Launch(spec)]), 32);
         // No credits: the warp blocks, nothing issues, cause is LaunchPath.
         let mut credits = 0u64;
         for now in 0..3 {
@@ -834,15 +822,7 @@ mod tests {
         let cfg = GpuConfig::small_test();
         let mut mem = MemorySystem::new(&cfg);
         let mut s = smx(&cfg);
-        s.place(
-            tb_ref(0),
-            AccessClass::Parent,
-            TbProgram::default(),
-            ResourceReq::new(32, 8, 0),
-            0,
-            0,
-            32,
-        );
+        place(&mut s, &cfg, 0, TbProgram::default(), 32);
         let completions = run_until_empty(&mut s, &mut mem, &cfg);
         assert_eq!(completions.len(), 1);
     }
@@ -853,15 +833,7 @@ mod tests {
         let mut mem = MemorySystem::new(&cfg);
         let mut s = smx(&cfg);
         for i in 0..2 {
-            s.place(
-                tb_ref(i),
-                AccessClass::Parent,
-                TbProgram::new(vec![TbOp::Compute(4)]),
-                ResourceReq::new(32, 8, 0),
-                u64::from(i),
-                0,
-                32,
-            );
+            place(&mut s, &cfg, i, TbProgram::new(vec![TbOp::Compute(4)]), 32);
         }
         let completions = run_until_empty(&mut s, &mut mem, &cfg);
         assert_eq!(completions.len(), 2);
@@ -872,13 +844,11 @@ mod tests {
         let cfg = GpuConfig::small_test();
         let mut mem = MemorySystem::new(&cfg);
         let mut s = smx(&cfg);
-        s.place(
-            tb_ref(0),
-            AccessClass::Parent,
+        place(
+            &mut s,
+            &cfg,
+            0,
             TbProgram::new(vec![TbOp::Compute(1), TbOp::ComputeMasked { cycles: 1, active: 5 }]),
-            ResourceReq::new(32, 8, 0),
-            0,
-            0,
             32,
         );
         run_until_empty(&mut s, &mut mem, &cfg);
@@ -892,15 +862,7 @@ mod tests {
         let cfg = GpuConfig::small_test();
         let mut mem = MemorySystem::new(&cfg);
         let mut s = smx(&cfg);
-        s.place(
-            tb_ref(0),
-            AccessClass::Parent,
-            TbProgram::new(vec![TbOp::Compute(1), TbOp::Compute(1)]),
-            ResourceReq::new(32, 8, 0),
-            0,
-            0,
-            32,
-        );
+        place(&mut s, &cfg, 0, TbProgram::new(vec![TbOp::Compute(1), TbOp::Compute(1)]), 32);
         run_until_empty(&mut s, &mut mem, &cfg);
         assert_eq!(s.warp_instructions, 2);
         assert_eq!(s.thread_instructions, 64);

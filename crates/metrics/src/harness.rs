@@ -9,6 +9,7 @@ use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
 use gpu_sim::error::SimError;
 use gpu_sim::fault::FaultPlan;
+use gpu_sim::lowered::ProgramMemo;
 use gpu_sim::stats::{LatencyStats, Pow2Hist, SimStats, StallBreakdown, NUM_WAKE_SOURCES};
 use gpu_sim::tb_sched::{RoundRobinScheduler, TbScheduler};
 use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
@@ -330,14 +331,16 @@ pub fn run_with_latency(
     scheduler: SchedulerKind,
     cfg: &GpuConfig,
 ) -> Result<RunRecord, SimError> {
-    run_with_latency_faulted(workload, model, latency, scheduler, cfg, None)
+    run_with_latency_faulted(workload, model, latency, scheduler, cfg, None, None)
 }
 
 /// [`run_with_latency`] with an optional simulator-level fault plan
-/// attached before the host kernels launch. This is how the resilient
-/// sweep layer composes the PR-5 in-simulator fault injection with its
-/// own harness-level plan: the simulator sees exactly the same faults
-/// it would in a standalone liveness run.
+/// attached before the host kernels launch, and an optional program
+/// memo shared with the workload's other cells. This is how the
+/// resilient sweep layer composes the in-simulator fault injection with
+/// its own harness-level plan (the simulator sees exactly the same
+/// faults it would in a standalone liveness run) and how it lowers each
+/// distinct TB program once per workload instead of once per cell.
 ///
 /// # Errors
 ///
@@ -350,12 +353,16 @@ pub fn run_with_latency_faulted(
     scheduler: SchedulerKind,
     cfg: &GpuConfig,
     fault_plan: Option<FaultPlan>,
+    programs: Option<&Arc<ProgramMemo>>,
 ) -> Result<RunRecord, SimError> {
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
         .with_scheduler(scheduler.build(cfg))
         .with_launch_model(model.build(latency));
     if let Some(plan) = fault_plan {
         sim = sim.with_fault_plan(plan);
+    }
+    if let Some(memo) = programs {
+        sim = sim.with_program_memo(memo.clone());
     }
     for hk in workload.host_kernels() {
         sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req)?;

@@ -50,6 +50,9 @@ pub struct CompiledWorkload {
     regions: Vec<Region>,
     kernels: Vec<CompiledKernel>,
     mode: ExecMode,
+    /// `dsl-` and a 64-bit digest of the source text, computed once at
+    /// compilation ([`Workload::program_id`]).
+    program_id: String,
 }
 
 impl CompiledWorkload {
@@ -64,7 +67,8 @@ impl CompiledWorkload {
         let resolved = resolve(&ast)?;
         let kernels = compile(&resolved)?;
         let regions = resolved.regions.iter().map(|r| r.region).collect();
-        Ok(CompiledWorkload { resolved, regions, kernels, mode })
+        let program_id = format!("dsl-{:016x}", digest(src.as_bytes()));
+        Ok(CompiledWorkload { resolved, regions, kernels, mode, program_id })
     }
 
     /// The same workload served by the other/selected back end.
@@ -122,6 +126,24 @@ impl CompiledWorkload {
     }
 }
 
+/// A 64-bit digest of `bytes`: FNV-1a over little-endian 8-byte words
+/// (the zero-padded tail last), seeded with the length. Unlike `std`'s
+/// hasher its value is fixed across toolchains, so cache keys built from
+/// it persist; reading words rather than bytes keeps it to a few
+/// milliseconds over the ci suite's 12 MB of DSL source.
+fn digest(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325_u64 ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        h = (h ^ word).wrapping_mul(PRIME);
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    (h ^ u64::from_le_bytes(tail)).wrapping_mul(PRIME)
+}
+
 fn unknown_kind(workload: &str, kind: KernelKindId) -> DslError {
     DslError::Runtime {
         kernel: workload.to_string(),
@@ -161,6 +183,10 @@ impl Workload for CompiledWorkload {
 
     fn host_kernels(&self) -> Vec<HostKernel> {
         self.resolved.hosts.clone()
+    }
+
+    fn program_id(&self) -> &str {
+        &self.program_id
     }
 }
 
@@ -221,6 +247,18 @@ kernel 1 "toy-child" threads = 32 {
     compute 4;
 }
 "#;
+
+    #[test]
+    fn program_id_names_the_source() {
+        let toy = CompiledWorkload::from_source(TOY, ExecMode::Vm).expect("compiles");
+        let again = CompiledWorkload::from_source(TOY, ExecMode::Interp).expect("compiles");
+        assert!(toy.program_id().starts_with("dsl-"), "{}", toy.program_id());
+        assert_eq!(toy.program_id(), again.program_id(), "the back end is not the program");
+        let edited = TOY.replace("compute 4", "compute 5");
+        let edited = CompiledWorkload::from_source(&edited, ExecMode::Vm).expect("compiles");
+        assert_ne!(toy.program_id(), edited.program_id());
+        assert_ne!(digest(b"ab"), digest(b"ab\0"), "zero padding is not the same source");
+    }
 
     #[test]
     fn serves_programs_through_both_backends_identically() {

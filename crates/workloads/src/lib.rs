@@ -151,6 +151,14 @@ pub trait Workload: ProgramSource {
     fn dsl_text(&self) -> Option<String> {
         None
     }
+
+    /// Identifies the code that serves this workload's programs, so two
+    /// program paths never share cached results: `"generator"` for the
+    /// Rust generators; a compiled DSL port names a digest of its
+    /// source.
+    fn program_id(&self) -> &str {
+        "generator"
+    }
 }
 
 /// Adapter that lets an `Arc<dyn Workload>` serve as the engine's program
