@@ -6,7 +6,7 @@
 //!   --workload <name>      suite workload (default bfs-citation); "list" to enumerate
 //!   --scheduler <name>     rr | tb-pri | smx-bind | adaptive-bind | random (default adaptive-bind)
 //!   --model <name>         cdp | dtbl (default dtbl)
-//!   --scale <name>         tiny | small | paper (default small)
+//!   --scale <name>         tiny | ci | small | paper (default small)
 //!   --seed <n>             input seed (default 0)
 //!   --smxs <n>             override SMX count
 //!   --l1-kb <n>            override L1 size per SMX
@@ -14,16 +14,19 @@
 //!   --launch-latency <n>   override base launch latency in cycles
 //!   --trace                print the first scheduling events
 //! ```
+//!
+//! Any other token exits 2 (see `laperm_bench::cli`).
 
 use dynpar::LaunchLatency;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
 use gpu_sim::trace::{render, VecSink};
-use laperm_bench::cli::{build_scheduler, fail, Args};
+use laperm_bench::cli::{build_scheduler, fail, Args, RUN_FLAGS};
 use workloads::SharedSource;
 
 fn main() {
-    let args = Args::from_env();
+    let value_flags = [&RUN_FLAGS[..], &["--l1-kb", "--l2-kb", "--launch-latency"]].concat();
+    let args = Args::from_env(&value_flags, &["--trace"], 0);
     let model = args.model();
     let mut cfg = GpuConfig::kepler_k20c();
     if let Some(n) = args.smxs() {

@@ -7,7 +7,7 @@
 //!   --workload <name>      suite workload (default bfs-citation); "list" to enumerate
 //!   --scheduler <name>     rr | tb-pri | smx-bind | adaptive-bind | random (default adaptive-bind)
 //!   --model <name>         cdp | dtbl (default dtbl)
-//!   --scale <name>         tiny | small | paper (default small)
+//!   --scale <name>         tiny | ci | small | paper (default small)
 //!   --seed <n>             input seed (default 0)
 //!   --smxs <n>             override SMX count
 //!   --out <path>           output file (default trace.json)
@@ -22,7 +22,7 @@
 //!
 //! Argument parsing is strict: any token that is not a recognized flag
 //! (or a recognized flag's value) is a hard error listing the valid
-//! flags and names. A typo'd or `--flag=value`-style argument therefore
+//! flags. A typo'd or `--flag=value`-style argument therefore
 //! fails loudly instead of silently running with defaults.
 //!
 //! A profiler summary whose statistics are missing from the finished
@@ -33,59 +33,17 @@ use dynpar::LaunchLatency;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
 use gpu_sim::trace::VecSink;
-use laperm_bench::cli::{build_scheduler, fail, Args, SCHEDULER_NAMES};
+use laperm_bench::cli::{build_scheduler, fail, Args, RUN_FLAGS};
 use sim_metrics::{perfetto_json, registry_for_run, validate_trace};
 use workloads::SharedSource;
-
-/// Flags that consume the following token as their value.
-const VALUE_FLAGS: [&str; 8] = [
-    "--workload",
-    "--scheduler",
-    "--model",
-    "--scale",
-    "--seed",
-    "--smxs",
-    "--out",
-    "--sample-every",
-];
 
 /// Boolean flags.
 const BOOL_FLAGS: [&str; 5] =
     ["--check", "--metrics", "--locality", "--engine-profile", "--latency"];
 
-fn reject_arg(arg: &str) -> ! {
-    eprintln!("unknown argument {arg}");
-    eprintln!("value flags: {} (each takes the next token)", VALUE_FLAGS.join(" "));
-    eprintln!("boolean flags: {}", BOOL_FLAGS.join(" "));
-    eprintln!("schedulers: {SCHEDULER_NAMES}; launch models: cdp, dtbl");
-    std::process::exit(2);
-}
-
-/// The command line, after a strict pass: every token must be a known
-/// flag or the value of the known value-flag just before it. This turns
-/// `--scheduler=foo` and misspelled flags into hard errors instead of
-/// silent defaults.
-fn parse_args() -> Args {
-    let args = Args::from_env();
-    let mut i = 0;
-    while i < args.0.len() {
-        let a = args.0[i].as_str();
-        if BOOL_FLAGS.contains(&a) {
-            i += 1;
-        } else if VALUE_FLAGS.contains(&a) {
-            if args.0.get(i + 1).is_none() {
-                fail(format!("{a} expects a value"));
-            }
-            i += 2;
-        } else {
-            reject_arg(a);
-        }
-    }
-    args
-}
-
 fn main() {
-    let args = parse_args();
+    let args =
+        Args::from_env(&[&RUN_FLAGS[..], &["--out", "--sample-every"]].concat(), &BOOL_FLAGS, 0);
     let model = args.model();
     let sample_every = args.num("--sample-every", u64::MAX).unwrap_or(1000);
     let out = args.value("--out").unwrap_or("trace.json");

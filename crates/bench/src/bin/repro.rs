@@ -6,7 +6,7 @@
 //!                    [--cache-dir DIR] [--retries N] [--cell-deadline CYCLES]
 //!                    [--retry-backoff-ms MS]
 //! repro check [--json FILE]
-//! repro dsl FILE.dsl [--jobs N]
+//! repro dsl FILE.dsl [--jobs N] [--engine event|cycle-stepped]
 //!
 //! experiments:
 //!   table1    GPU configuration (Table I)
@@ -56,9 +56,12 @@
 //!
 //! `--programs` selects the program-generation path (default:
 //! generator). `dsl` serves every suite workload from its DSL port
-//! compiled to bytecode; programs are byte-identical across paths, so
-//! the CI `dsl-differential` job runs `all` once per path and diffs the
-//! two `repro.json` documents byte-for-byte.
+//! compiled to bytecode. Each invocation builds its suite once, on that
+//! path, and every section reads it: the matrix, Figure 2 and every
+//! study (`variance` builds its extra input seeds on the same path).
+//! Programs are byte-identical across paths, so the CI
+//! `dsl-differential` job runs `all` once per path and diffs the two
+//! `repro.json` documents and the two text reports byte-for-byte.
 //!
 //! Resilience flags (see docs/ARCHITECTURE.md, "Resilient sweeps"):
 //! `--cache-dir DIR` persists every completed cell to a checksummed
@@ -76,10 +79,11 @@
 //! committed to the cache — the CI `sweep-resilience` job's crash
 //! injection.
 //!
-//! An unknown experiment, or a flag value outside its valid set
-//! (`--scale`, `--engine`, `--programs`, a non-integer count), exits 2
-//! naming the valid choices, as does a sweep that cannot start (a DSL
-//! port that fails to compile, an unusable `--cache-dir`).
+//! An unknown experiment or flag, a flag with no value, an operand after
+//! any experiment but `dsl`, or a flag value outside its valid set
+//! (`--scale`, `--engine`, `--programs`, a non-integer or out-of-range
+//! count) exits 2 naming the valid choices, as does a sweep that cannot
+//! start (a DSL port that fails to compile, an unusable `--cache-dir`).
 //!
 //! `repro check` exit codes: 0 every assertion passed; 1 assertion
 //! violation(s) on a healthy document; 2 degraded input (the document
@@ -90,12 +94,14 @@
 
 use std::sync::Arc;
 
-use gpu_sim::config::{EngineMode, GpuConfig};
+use gpu_sim::config::EngineMode;
+use laperm_bench::cli::{self, fail};
+use laperm_bench::experiments::render_fig2;
 use laperm_bench::sweep::{
     footprint_analyses, matrix_cells_for, run_matrix_cells, sweep_config, FootprintRow,
 };
 use laperm_bench::{
-    ablate, check_document, default_jobs, fig2, fig7, fig8, fig9, figure4, full_report, generality,
+    ablate, check_document, default_jobs, fig7, fig8, fig9, figure4, full_report, generality,
     latency_report, locality, overhead, profile, render_check_report, saturation, suite_for_path,
     sweep_cache, table1, table2, timeline, variance, CheckVerdict, MatrixRecords, ProgramPath,
     Resilience, SweepDoc,
@@ -103,6 +109,21 @@ use laperm_bench::{
 use sim_metrics::FootprintAnalysis;
 use wdsl::{CompiledWorkload, ExecMode};
 use workloads::{Scale, Workload};
+
+/// Flags that consume the following token as their value; `repro` has
+/// no boolean flags.
+const VALUE_FLAGS: [&str; 10] = [
+    "--scale",
+    "--jobs",
+    "--json",
+    "--engine",
+    "--programs",
+    "--cache-dir",
+    "--retries",
+    "--retry-backoff-ms",
+    "--cell-deadline",
+    "--kill-after-cells",
+];
 
 struct Args {
     experiment: String,
@@ -117,71 +138,49 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let experiment = args.first().map(String::as_str).unwrap_or("all").to_string();
-    let operand = args.get(1).filter(|a| !a.starts_with('-')).cloned();
-    let value_of = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
-    };
-    let scale = match value_of("--scale") {
-        Some("tiny") => Scale::Tiny,
-        Some("ci") => Scale::Ci,
-        Some("small") => Scale::Small,
-        Some("paper") | None => Scale::Paper,
-        Some(other) => {
-            eprintln!("unknown scale {other}; choose tiny, ci, small or paper");
-            std::process::exit(2);
-        }
-    };
-    let jobs = match value_of("--jobs") {
-        Some(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects a positive integer, got {n}");
-            std::process::exit(2);
-        }),
-        None => default_jobs(),
-    };
-    let json_path = value_of("--json").map(String::from);
-    let engine = match value_of("--engine") {
+    let args = cli::Args::from_env(&VALUE_FLAGS, &[], 2);
+    let experiment = args.operand(0).unwrap_or("all").to_string();
+    let operand = args.operand(1).map(String::from);
+    if let Some(extra) = operand.as_deref().filter(|_| experiment != "dsl") {
+        fail(format!("unexpected argument {extra}: only `repro dsl` takes an operand"));
+    }
+    let engine = match args.value("--engine") {
         Some("cycle-stepped") => EngineMode::CycleStepped,
         Some("event") | None => EngineMode::Event,
-        Some(other) => {
-            eprintln!(
-                "unknown engine {other}; choose event (skips idle cycles) or \
-                 cycle-stepped (never-skipping reference)"
-            );
-            std::process::exit(2);
-        }
+        Some(other) => fail(format!(
+            "unknown engine {other}; choose event (skips idle cycles) or \
+             cycle-stepped (never-skipping reference)"
+        )),
     };
-    let programs = match value_of("--programs") {
+    let programs = match args.value("--programs") {
         None => ProgramPath::Generator,
-        Some(s) => ProgramPath::parse(s).unwrap_or_else(|| {
-            eprintln!("unknown program path {s}; choose generator or dsl");
-            std::process::exit(2);
-        }),
-    };
-    let int_flag = |flag: &str| -> Option<u64> {
-        value_of(flag).map(|n| {
-            n.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} expects a non-negative integer, got {n}");
-                std::process::exit(2);
-            })
-        })
+        Some(s) => ProgramPath::parse(s)
+            .unwrap_or_else(|| fail(format!("unknown program path {s}; choose generator or dsl"))),
     };
     let resilience = Resilience {
-        cache_dir: value_of("--cache-dir").map(std::path::PathBuf::from),
-        retries: int_flag("--retries").map(|n| n as u32).unwrap_or(0),
-        backoff_ms: int_flag("--retry-backoff-ms").unwrap_or(100),
-        cell_deadline: int_flag("--cell-deadline"),
-        kill_after_cells: int_flag("--kill-after-cells"),
+        cache_dir: args.value("--cache-dir").map(std::path::PathBuf::from),
+        retries: args.num("--retries", u32::MAX.into()).unwrap_or(0),
+        backoff_ms: args.num("--retry-backoff-ms", u64::MAX).unwrap_or(100),
+        cell_deadline: args.num("--cell-deadline", u64::MAX),
+        kill_after_cells: args.num("--kill-after-cells", u64::MAX),
         faults: None,
         sim_fault_seed: None,
     };
-    Args { experiment, operand, scale, jobs, json_path, engine, programs, resilience }
+    Args {
+        experiment,
+        operand,
+        scale: args.scale(Scale::Paper),
+        jobs: args.num("--jobs", u64::MAX).unwrap_or_else(default_jobs),
+        json_path: args.value("--json").map(String::from),
+        engine,
+        programs,
+        resilience,
+    }
 }
 
-/// Runs a matrix subcommand: sweeps the evaluation matrix through the
-/// resilient executor `repro all` uses (honouring `--engine`,
-/// `--programs` and the resilience flags), writes the document to
+/// Runs a matrix subcommand: sweeps the evaluation matrix of `suite`
+/// (the run's suite) through the resilient executor `repro all` uses
+/// (honouring `--engine` and the resilience flags), writes the document to
 /// `json` when given, and prints `render`'s report over the completed
 /// records and Figure 2's footprint analyses (computed once, for the
 /// document, only when `json` is given; empty otherwise). `profiled`
@@ -190,26 +189,22 @@ fn parse_args() -> Args {
 /// then the process exits 1.
 fn run_matrix_command(
     args: &Args,
+    suite: &[Arc<dyn Workload>],
     profiled: bool,
     json: Option<&str>,
     render: impl FnOnce(&MatrixRecords, &[FootprintAnalysis]) -> String,
 ) {
-    let fatal = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    let suite = suite_for_path(args.scale, 0, args.programs).unwrap_or_else(|e| fatal(e));
     let cfg = sweep_config(args.engine, profiled);
     let (mut doc, report) =
-        SweepDoc::build_matrix(args.scale, 0, args.jobs, &cfg, &suite, &args.resilience)
-            .unwrap_or_else(|e| fatal(e));
+        SweepDoc::build_matrix(args.scale, 0, args.jobs, &cfg, suite, &args.resilience)
+            .unwrap_or_else(|e| fail(e));
     // Only the written document carries Figure 2's footprint rows.
     let mut footprints = Vec::new();
     if let Some(path) = json {
-        footprints = footprint_analyses(&suite, args.jobs);
+        footprints = footprint_analyses(suite, args.jobs);
         doc.footprints = footprints.iter().map(FootprintRow::from).collect();
         std::fs::write(path, doc.to_json())
-            .unwrap_or_else(|e| fatal(format!("cannot write {path}: {e}")));
+            .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
     if args.resilience.cache_dir.is_some() {
@@ -271,25 +266,20 @@ fn run_check(args: &Args) {
 }
 
 /// `repro dsl FILE.dsl`: compile a workload-DSL file end to end and run
-/// it under every launch model × scheduler on the Table I machine. This
+/// it under every launch model × scheduler on the sweep's machine (the
+/// Table I configuration on `--engine`). This
 /// is the quickstart path for a hand-written `.dsl` program: the file
 /// becomes a full workload (host kernels included) without any Rust.
 fn run_dsl(args: &Args) {
     let Some(file) = args.operand.as_deref() else {
-        eprintln!("usage: repro dsl FILE.dsl [--jobs N]");
-        std::process::exit(2);
+        fail("usage: repro dsl FILE.dsl [--jobs N] [--engine event|cycle-stepped]")
     };
-    let src = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("cannot read {file}: {e}");
-        std::process::exit(2);
-    });
-    let compiled = CompiledWorkload::from_source(&src, ExecMode::Vm).unwrap_or_else(|e| {
-        eprintln!("{file}: [{}] {e}", e.stage());
-        std::process::exit(2);
-    });
+    let src =
+        std::fs::read_to_string(file).unwrap_or_else(|e| fail(format!("cannot read {file}: {e}")));
+    let compiled = CompiledWorkload::from_source(&src, ExecMode::Vm)
+        .unwrap_or_else(|e| fail(format!("{file}: [{}] {e}", e.stage())));
     let workload: Arc<dyn Workload> = Arc::new(compiled);
-    let mut cfg = GpuConfig::kepler_k20c();
-    cfg.profile_locality = true;
+    let cfg = sweep_config(args.engine, false);
     let cells = matrix_cells_for(std::slice::from_ref(&workload));
     let outcome = run_matrix_cells(&cells, args.jobs, &cfg);
     println!("{} on kepler_k20c (compiled DSL, bytecode VM):", workload.full_name());
@@ -319,53 +309,60 @@ fn run_dsl(args: &Args) {
 
 fn main() {
     let args = parse_args();
+    let (scale, jobs) = (args.scale, args.jobs);
+    // The run's one suite: input seed 0 on the `--programs` path. Each
+    // subcommand that reads a suite builds it here, once.
+    let suite = || suite_for_path(scale, 0, args.programs).unwrap_or_else(|e| fail(e));
 
     match args.experiment.as_str() {
         "table1" => println!("{}", table1()),
-        "table2" => println!("{}", table2(args.scale)),
-        "fig2" => println!("{}", fig2(args.scale, args.jobs)),
+        "table2" => println!("{}", table2(scale, &suite())),
+        "fig2" => println!("{}", render_fig2(scale, &footprint_analyses(&suite(), jobs))),
         "fig4" => println!("{}", figure4()),
-        "fig7" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", fig7(m))),
-        "fig8" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", fig8(m))),
-        "fig9" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", fig9(m))),
-        "locality" => run_matrix_command(&args, false, None, |m, _| format!("{}\n", locality(m))),
-        "latency" => {
-            run_matrix_command(&args, true, None, |m, _| latency_report(args.scale, args.jobs, m))
+        "fig7" => run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", fig7(m))),
+        "fig8" => run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", fig8(m))),
+        "fig9" => run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", fig9(m))),
+        "locality" => {
+            run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", locality(m)))
         }
-        "timeline" => println!("{}", timeline(args.scale, args.jobs)),
-        "variance" => println!("{}", variance(args.scale, args.jobs)),
-        "csv" => run_matrix_command(&args, false, None, |m, _| {
+        "latency" => {
+            let all = suite();
+            run_matrix_command(&args, &all, true, None, |m, _| latency_report(scale, &all, jobs, m))
+        }
+        "timeline" => println!("{}", timeline(scale, &suite(), jobs)),
+        "variance" => println!("{}", variance(scale, args.programs, &suite(), jobs)),
+        "csv" => run_matrix_command(&args, &suite(), false, None, |m, _| {
             sim_metrics::export::runs_to_csv(m.records())
         }),
-        "cache" => println!("{}", sweep_cache(args.scale, args.jobs)),
-        "saturation" => println!("{}", saturation(args.scale, args.jobs)),
-        "generality" => println!("{}", generality(args.scale, args.jobs)),
-        "overhead" => println!("{}", overhead(args.scale, args.jobs)),
-        "ablate" => println!("{}", ablate(args.scale, args.jobs)),
+        "cache" => println!("{}", sweep_cache(scale, &suite(), jobs)),
+        "saturation" => println!("{}", saturation(scale, &suite(), jobs)),
+        "generality" => println!("{}", generality(scale, &suite(), jobs)),
+        "overhead" => println!("{}", overhead(&suite(), jobs)),
+        "ablate" => println!("{}", ablate(scale, &suite(), jobs)),
         // The profiled document never clobbers the `repro all` artifact,
         // whose byte-identity the `engine-equivalence` CI job depends
         // on; `repro check --json repro_profile.json` binds the engine
         // and latency shape assertions against it.
         "all" => {
             let path = args.json_path.as_deref().unwrap_or("repro.json");
-            run_matrix_command(&args, false, Some(path), |m, fp| {
-                full_report(args.scale, args.jobs, m, fp)
+            let all = suite();
+            run_matrix_command(&args, &all, false, Some(path), |m, fp| {
+                full_report(scale, args.programs, &all, jobs, m, fp)
             })
         }
         "profile" => {
             let path = args.json_path.as_deref().unwrap_or("repro_profile.json");
-            run_matrix_command(&args, true, Some(path), |m, _| profile(m))
+            run_matrix_command(&args, &suite(), true, Some(path), |m, _| profile(m))
         }
         "check" => run_check(&args),
         "dsl" => run_dsl(&args),
         other => {
             eprintln!("unknown experiment {other}");
-            eprintln!(
+            fail(
                 "choose from: table1 table2 fig2 fig4 fig7 fig8 fig9 locality latency \
                  timeline variance csv cache saturation generality overhead ablate all \
-                 profile check dsl"
+                 profile check dsl",
             );
-            std::process::exit(2);
         }
     }
 }

@@ -4,10 +4,16 @@ use std::sync::Arc;
 
 use dynpar::{DtblModel, LaunchLatency, LaunchModelKind};
 use gpu_sim::config::GpuConfig;
+use gpu_sim::engine::Simulator;
+use gpu_sim::launch::DynamicLaunchModel;
+use gpu_sim::stats::SimStats;
+use gpu_sim::tb_sched::TbScheduler;
 use sim_metrics::footprint::{FootprintAnalysis, FootprintSummary};
 use sim_metrics::harness::{run_once, run_with_latency, LocalityRecord, RunRecord, SchedulerKind};
 use sim_metrics::report::{mean, pct, ratio, Table};
-use workloads::{suite, Scale, Workload};
+use workloads::{Scale, SharedSource, Workload};
+
+use crate::sweep::{suite_for_path, ProgramPath};
 
 /// All runs of the main evaluation matrix: every workload under both
 /// launch models and all four schedulers.
@@ -79,10 +85,61 @@ pub fn table1() -> String {
     format!("Table I: GPGPU configuration (Kepler K20c)\n{}", t.render())
 }
 
-/// Table II: the benchmark suite.
-pub fn table2(scale: Scale) -> String {
+/// The workload of `all` called `name`. Every study names workloads of
+/// the Table II suite, so a missing one is a caller bug.
+fn by_name<'a>(all: &'a [Arc<dyn Workload>], name: &str) -> &'a Arc<dyn Workload> {
+    all.iter()
+        .find(|w| w.full_name() == name)
+        .unwrap_or_else(|| panic!("{name} is not in the suite"))
+}
+
+/// Runs every host kernel of `w` to completion on `cfg` under an
+/// explicit scheduler and launch model: the studies whose policies lie
+/// outside the harness's four scheduler kinds and default launch paths.
+fn simulate(
+    w: &Arc<dyn Workload>,
+    cfg: &GpuConfig,
+    scheduler: Box<dyn TbScheduler>,
+    launch: Box<dyn DynamicLaunchModel>,
+) -> SimStats {
+    let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
+        .with_scheduler(scheduler)
+        .with_launch_model(launch);
+    for hk in w.host_kernels() {
+        sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
+    }
+    sim.run_to_completion().unwrap_or_else(|e| panic!("{} run: {e}", w.full_name()))
+}
+
+/// `w` under DTBL delivery on `cfg`, with round-robin and with
+/// Adaptive-Bind: the two runs every gain study compares.
+fn rr_and_adaptive(w: &Arc<dyn Workload>, cfg: &GpuConfig) -> (RunRecord, RunRecord) {
+    let run = |s: SchedulerKind| {
+        run_once(w, LaunchModelKind::Dtbl, s, cfg).unwrap_or_else(|e| panic!("{s} run: {e}"))
+    };
+    (run(SchedulerKind::RoundRobin), run(SchedulerKind::AdaptiveBind))
+}
+
+/// The table row `label | rr IPC | adaptive IPC | gain` of an
+/// [`rr_and_adaptive`] pair.
+fn gain_row(label: String, (rr, ad): &(RunRecord, RunRecord)) -> Vec<String> {
+    vec![label, format!("{:.1}", rr.ipc), format!("{:.1}", ad.ipc), ratio(ad.ipc / rr.ipc)]
+}
+
+/// DTBL delivery at its default latency with a `cap`-entry on-chip
+/// aggregation table.
+fn dtbl_with_table(cap: usize) -> Box<dyn DynamicLaunchModel> {
+    Box::new(DtblModel::with_table(
+        LaunchLatency::default_for(LaunchModelKind::Dtbl),
+        cap,
+        DtblModel::DEFAULT_OVERFLOW_PENALTY,
+    ))
+}
+
+/// Table II: the benchmark suite `all`, generated at `scale`.
+pub fn table2(scale: Scale, all: &[Arc<dyn Workload>]) -> String {
     let mut t = Table::new(vec!["application", "input", "parent TBs", "device launches"]);
-    for w in suite(scale) {
+    for w in all {
         let hk = w.host_kernels();
         let parent_tbs: u32 = hk.iter().map(|k| k.num_tbs).sum();
         let launches: usize = hk
@@ -96,13 +153,8 @@ pub fn table2(scale: Scale) -> String {
 }
 
 /// Figure 2: shared footprint ratios for parent-child and child-sibling
-/// TBs (plus the parent-parent baseline quoted in the text). The
-/// per-workload analyses fan out over `jobs` workers.
-pub fn fig2(scale: Scale, jobs: usize) -> String {
-    render_fig2(scale, &crate::sweep::footprint_analyses(&suite(scale), jobs))
-}
-
-/// Renders Figure 2 from the suite's footprint analyses, in suite order.
+/// TBs (plus the parent-parent baseline quoted in the text), rendered
+/// from the suite's footprint analyses in suite order.
 pub fn render_fig2(scale: Scale, rows: &[FootprintAnalysis]) -> String {
     let summary = FootprintSummary { rows: rows.to_vec() };
     let mut t = Table::new(vec![
@@ -315,11 +367,9 @@ pub fn fig9(m: &MatrixRecords) -> String {
 /// Launch-latency sensitivity (Section IV-D): how the Adaptive-Bind gain
 /// decays as the device-launch latency grows. Latency points fan out
 /// over `jobs` workers.
-pub fn latency_sweep(scale: Scale, jobs: usize) -> String {
+pub fn latency_sweep(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w: &Arc<dyn Workload> =
-        all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = by_name(all, "bfs-citation");
     let mut t =
         Table::new(vec!["launch latency", "rr IPC", "adaptive IPC", "gain", "child wait (rr)"]);
     let bases = [0u32, 500, 1000, 2000, 4000, 8000, 16000];
@@ -333,14 +383,10 @@ pub fn latency_sweep(scale: Scale, jobs: usize) -> String {
                 .expect("adaptive run");
         (rr, ad)
     });
-    for (base, (rr, ad)) in bases.iter().zip(rows) {
-        t.row(vec![
-            base.to_string(),
-            format!("{:.1}", rr.ipc),
-            format!("{:.1}", ad.ipc),
-            ratio(ad.ipc / rr.ipc),
-            format!("{:.0}", rr.mean_child_wait),
-        ]);
+    for (base, pair) in bases.iter().zip(rows) {
+        let mut row = gain_row(base.to_string(), &pair);
+        row.push(format!("{:.0}", pair.0.mean_child_wait));
+        t.row(row);
     }
     format!(
         "Launch-latency sensitivity on bfs-citation, DTBL delivery ({scale} scale)\n\
@@ -351,9 +397,8 @@ pub fn latency_sweep(scale: Scale, jobs: usize) -> String {
 
 /// Overhead analysis (Section IV-E): queue hardware budget and observed
 /// dynamic overheads. The per-workload runs fan out over `jobs` workers.
-pub fn overhead(scale: Scale, jobs: usize) -> String {
+pub fn overhead(all: &[Arc<dyn Workload>], jobs: usize) -> String {
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
     let mut out = String::from(
         "Overhead analysis (Section IV-E)\n\
          Hardware budget: 3 KB SRAM per SMX = 128 entries x 24 B (~1% of \
@@ -368,9 +413,8 @@ pub fn overhead(scale: Scale, jobs: usize) -> String {
         "steals",
     ]);
     let names = ["bfs-citation", "amr", "join-gaussian", "regx-strings"];
-    let heavy: Vec<&Arc<dyn Workload>> =
-        names.iter().filter_map(|name| all.iter().find(|w| w.full_name() == *name)).collect();
-    let recs = crate::sweep::parallel_map(&heavy, jobs, |w| {
+    let recs = crate::sweep::parallel_map(&names, jobs, |name| {
+        let w = by_name(all, name);
         run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, &cfg).expect("overhead run")
     });
     for rec in recs {
@@ -390,10 +434,16 @@ pub fn overhead(scale: Scale, jobs: usize) -> String {
 /// Input-seed variance: the headline gain measured over several
 /// independently generated input instances (mean ± sample std), showing
 /// the result is a property of the input *structure*, not of one lucky
-/// instance. The (workload, seed) grid fans out over `jobs` workers.
-pub fn variance(scale: Scale, jobs: usize) -> String {
+/// instance. `all` is the seed-0 suite on the `programs` path; each
+/// other seed's suite is generated once on the same path and dropped
+/// before the next. Each seed's workloads fan out over `jobs` workers.
+pub fn variance(
+    scale: Scale,
+    programs: ProgramPath,
+    all: &[Arc<dyn Workload>],
+    jobs: usize,
+) -> String {
     use sim_metrics::report::mean_std;
-    use workloads::suite_seeded;
 
     let cfg = GpuConfig::kepler_k20c();
     let seeds: [u64; 5] = [0, 11, 2025, 424242, 7_777_777];
@@ -401,19 +451,23 @@ pub fn variance(scale: Scale, jobs: usize) -> String {
     let mut out =
         format!("Input-seed variance over {} instances, DTBL ({scale} scale)\n\n", seeds.len());
     let mut t = Table::new(vec!["workload", "adaptive gain over rr (mean ± std)"]);
-    let cells: Vec<(&str, u64)> =
-        names.iter().flat_map(|&name| seeds.iter().map(move |&seed| (name, seed))).collect();
-    let gains = crate::sweep::parallel_map(&cells, jobs, |&(name, seed)| {
-        let all = suite_seeded(scale, seed);
-        let w = all.iter().find(|w| w.full_name() == name).expect("workload");
-        let rr =
-            run_once(w, LaunchModelKind::Dtbl, SchedulerKind::RoundRobin, &cfg).expect("rr run");
-        let ad = run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, &cfg)
-            .expect("adaptive run");
-        ad.ipc / rr.ipc
-    });
-    for (i, name) in names.iter().enumerate() {
-        let (m, s) = mean_std(&gains[i * seeds.len()..(i + 1) * seeds.len()]);
+    // gains[i]: the gains of workload `names[i]`, in seed order.
+    let mut gains = vec![Vec::new(); names.len()];
+    for seed in seeds {
+        let seeded = (seed != 0).then(|| {
+            suite_for_path(scale, seed, programs).unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+        });
+        let suite = seeded.as_deref().unwrap_or(all);
+        let row = crate::sweep::parallel_map(&names, jobs, |name| {
+            let (rr, ad) = rr_and_adaptive(by_name(suite, name), &cfg);
+            ad.ipc / rr.ipc
+        });
+        for (g, gain) in gains.iter_mut().zip(row) {
+            g.push(gain);
+        }
+    }
+    for (name, g) in names.iter().zip(&gains) {
+        let (m, s) = mean_std(g);
         t.row(vec![name.to_string(), format!("{m:.2}x ± {s:.2}")]);
     }
     out.push_str(&t.render());
@@ -424,36 +478,22 @@ pub fn variance(scale: Scale, jobs: usize) -> String {
 /// capacity (the hardware-parameter study the paper's Section IV-F
 /// explicitly leaves to future work). Capacity points fan out over
 /// `jobs` workers.
-pub fn sweep_cache(scale: Scale, jobs: usize) -> String {
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+pub fn sweep_cache(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
+    let w = by_name(all, "bfs-citation");
     let mut out = format!(
         "Cache-size sensitivity on bfs-citation, DTBL ({scale} scale)\n\
          (Section IV-F: the paper leaves cache-size effects to future work)\n\n"
     );
-
-    let pair = |cfg: &GpuConfig| {
-        let rr =
-            run_once(w, LaunchModelKind::Dtbl, SchedulerKind::RoundRobin, cfg).expect("rr run");
-        let ad = run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, cfg)
-            .expect("adaptive run");
-        (rr, ad)
-    };
 
     let l1_kbs = [16u32, 32, 48, 64];
     let mut t = Table::new(vec!["L1 per SMX", "rr IPC", "adaptive IPC", "gain"]);
     let rows = crate::sweep::parallel_map(&l1_kbs, jobs, |&kb| {
         let mut cfg = GpuConfig::kepler_k20c();
         cfg.l1_bytes = kb * 1024;
-        pair(&cfg)
+        rr_and_adaptive(w, &cfg)
     });
-    for (kb, (rr, ad)) in l1_kbs.iter().zip(rows) {
-        t.row(vec![
-            format!("{kb} KB"),
-            format!("{:.1}", rr.ipc),
-            format!("{:.1}", ad.ipc),
-            ratio(ad.ipc / rr.ipc),
-        ]);
+    for (kb, pair) in l1_kbs.iter().zip(rows) {
+        t.row(gain_row(format!("{kb} KB"), &pair));
     }
     out.push_str(&t.render());
 
@@ -462,15 +502,10 @@ pub fn sweep_cache(scale: Scale, jobs: usize) -> String {
     let rows = crate::sweep::parallel_map(&l2_kbs, jobs, |&kb| {
         let mut cfg = GpuConfig::kepler_k20c();
         cfg.l2_bytes = kb * 1024;
-        pair(&cfg)
+        rr_and_adaptive(w, &cfg)
     });
-    for (kb, (rr, ad)) in l2_kbs.iter().zip(rows) {
-        t.row(vec![
-            format!("{kb} KB"),
-            format!("{:.1}", rr.ipc),
-            format!("{:.1}", ad.ipc),
-            ratio(ad.ipc / rr.ipc),
-        ]);
+    for (kb, pair) in l2_kbs.iter().zip(rows) {
+        t.row(gain_row(format!("{kb} KB"), &pair));
     }
     out.push('\n');
     out.push_str(&t.render());
@@ -479,20 +514,13 @@ pub fn sweep_cache(scale: Scale, jobs: usize) -> String {
 
 /// Architecture generality: the Kepler config of Table I vs a
 /// Maxwell-like machine (more, narrower SMs; bigger L2).
-pub fn generality(scale: Scale, jobs: usize) -> String {
+pub fn generality(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
     use sim_metrics::report::bar_chart;
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = by_name(all, "bfs-citation");
     let mut out = format!("Architecture generality on bfs-citation, DTBL ({scale} scale)\n\n");
     let machines =
         [("kepler-k20c", GpuConfig::kepler_k20c()), ("maxwell-like", GpuConfig::maxwell_like())];
-    let results = crate::sweep::parallel_map(&machines, jobs, |(_, cfg)| {
-        let rr =
-            run_once(w, LaunchModelKind::Dtbl, SchedulerKind::RoundRobin, cfg).expect("rr run");
-        let ad = run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, cfg)
-            .expect("adaptive run");
-        (rr, ad)
-    });
+    let results = crate::sweep::parallel_map(&machines, jobs, |(_, cfg)| rr_and_adaptive(w, cfg));
     let mut bars = Vec::new();
     for ((name, _), (rr, ad)) in machines.iter().zip(results) {
         bars.push((format!("{name} rr"), rr.ipc));
@@ -506,11 +534,10 @@ pub fn generality(scale: Scale, jobs: usize) -> String {
 /// Timeline: windowed IPC and L1 hit rate over the run, RR vs
 /// Adaptive-Bind, showing *when* the locality benefit materializes (the
 /// parent/child overlap phase).
-pub fn timeline(scale: Scale, jobs: usize) -> String {
+pub fn timeline(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
     use sim_metrics::timeline::{downsample, run_timeline};
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = by_name(all, "bfs-citation");
     let mut out =
         format!("Timeline: windowed IPC / L1 hit rate on bfs-citation, DTBL ({scale} scale)\n\n");
     let scheds = [SchedulerKind::RoundRobin, SchedulerKind::AdaptiveBind];
@@ -537,31 +564,18 @@ pub fn timeline(scale: Scale, jobs: usize) -> String {
 /// Design-choice ablations: nesting clamp `L`, SMX cluster size, steal
 /// hysteresis, and the DTBL on-chip table capacity. Each ablation's
 /// points fan out over `jobs` workers.
-pub fn ablate(scale: Scale, jobs: usize) -> String {
-    use gpu_sim::engine::Simulator;
+pub fn ablate(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
+    use laperm::LaPermPolicy::{AdaptiveBind, SmxBind, TbPri};
     use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
-    use workloads::SharedSource;
 
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
-
-    let run = |laperm_cfg: LaPermConfig, policy: LaPermPolicy, table_cap: Option<usize>| -> f64 {
-        let launch = match table_cap {
-            Some(cap) => Box::new(DtblModel::with_table(
-                LaunchLatency::default_for(LaunchModelKind::Dtbl),
-                cap,
-                DtblModel::DEFAULT_OVERFLOW_PENALTY,
-            )) as Box<dyn gpu_sim::launch::DynamicLaunchModel>,
-            None => LaunchModelKind::Dtbl.build_default(),
-        };
-        let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
-            .with_scheduler(Box::new(LaPermScheduler::new(policy, laperm_cfg)))
-            .with_launch_model(launch);
-        for hk in w.host_kernels() {
-            sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
-        }
-        sim.run_to_completion().expect("ablation run").ipc()
+    let w = by_name(all, "bfs-citation");
+    let laperm = |policy: LaPermPolicy, laperm_cfg: LaPermConfig| -> Box<dyn TbScheduler> {
+        Box::new(LaPermScheduler::new(policy, laperm_cfg))
+    };
+    // IPC under `scheduler` with default DTBL delivery.
+    let ipc = |w: &Arc<dyn Workload>, scheduler| {
+        simulate(w, &cfg, scheduler, LaunchModelKind::Dtbl.build_default()).ipc()
     };
 
     let base_cfg = LaPermConfig::for_gpu(&cfg);
@@ -569,20 +583,11 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
 
     // The nesting clamp only matters on a workload that actually nests:
     // AMR refines recursively (depth 2).
-    let amr = all.iter().find(|w| w.full_name() == "amr").expect("amr in suite");
-    let run_on = |w: &Arc<dyn Workload>, laperm_cfg: LaPermConfig| -> f64 {
-        let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
-            .with_scheduler(Box::new(LaPermScheduler::new(LaPermPolicy::AdaptiveBind, laperm_cfg)))
-            .with_launch_model(LaunchModelKind::Dtbl.build_default());
-        for hk in w.host_kernels() {
-            sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
-        }
-        sim.run_to_completion().expect("ablation run").ipc()
-    };
+    let amr = by_name(all, "amr");
     let mut t = Table::new(vec!["max nesting level L (amr)", "adaptive-bind IPC"]);
     let levels = [1u8, 2, 4, 8];
     let ipcs = crate::sweep::parallel_map(&levels, jobs, |&level| {
-        run_on(amr, base_cfg.with_max_level(level))
+        ipc(amr, laperm(AdaptiveBind, base_cfg.with_max_level(level)))
     });
     for (level, ipc) in levels.iter().zip(ipcs) {
         t.row(vec![level.to_string(), format!("{ipc:.1}")]);
@@ -593,7 +598,7 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
     let mut t = Table::new(vec!["SMX cluster size", "smx-bind IPC"]);
     let clusters = [1u16, 2, 4];
     let ipcs = crate::sweep::parallel_map(&clusters, jobs, |&cluster| {
-        run(base_cfg.with_cluster_size(cluster), LaPermPolicy::SmxBind, None)
+        ipc(w, laperm(SmxBind, base_cfg.with_cluster_size(cluster)))
     });
     for (cluster, ipc) in clusters.iter().zip(ipcs) {
         t.row(vec![cluster.to_string(), format!("{ipc:.1}")]);
@@ -604,7 +609,7 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
     let mut t = Table::new(vec!["steal min free slots", "adaptive-bind IPC"]);
     let slot_counts = [0u32, 4, 8, 16];
     let ipcs = crate::sweep::parallel_map(&slot_counts, jobs, |&slots| {
-        run(base_cfg.with_steal_min_free_slots(slots), LaPermPolicy::AdaptiveBind, None)
+        ipc(w, laperm(AdaptiveBind, base_cfg.with_steal_min_free_slots(slots)))
     });
     for (slots, ipc) in slot_counts.iter().zip(ipcs) {
         t.row(vec![slots.to_string(), format!("{ipc:.1}")]);
@@ -615,7 +620,7 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
     let mut t = Table::new(vec!["DTBL on-chip table entries", "adaptive-bind IPC"]);
     let caps = [8usize, 32, 128, 512];
     let ipcs = crate::sweep::parallel_map(&caps, jobs, |&cap| {
-        run(base_cfg, LaPermPolicy::AdaptiveBind, Some(cap))
+        simulate(w, &cfg, laperm(AdaptiveBind, base_cfg), dtbl_with_table(cap)).ipc()
     });
     for (cap, ipc) in caps.iter().zip(ipcs) {
         t.row(vec![cap.to_string(), format!("{ipc:.1}")]);
@@ -627,22 +632,13 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
     // run (prioritization) vs *where* they run (binding)?
     {
         use laperm::BindOnlyScheduler;
-        let run_custom = |sched: Box<dyn gpu_sim::tb_sched::TbScheduler>| -> f64 {
-            let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
-                .with_scheduler(sched)
-                .with_launch_model(LaunchModelKind::Dtbl.build_default());
-            for hk in w.host_kernels() {
-                sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
-            }
-            sim.run_to_completion().expect("decomposition run").ipc()
-        };
         let mechanisms =
             ["neither (rr)", "priority only (tb-pri)", "binding only", "both (smx-bind)"];
         let ipcs = crate::sweep::parallel_map(&[0usize, 1, 2, 3], jobs, |&i| match i {
-            0 => run_custom(Box::new(gpu_sim::tb_sched::RoundRobinScheduler::new())),
-            1 => run(base_cfg, LaPermPolicy::TbPri, None),
-            2 => run_custom(Box::new(BindOnlyScheduler::new())),
-            _ => run(base_cfg, LaPermPolicy::SmxBind, None),
+            0 => ipc(w, Box::new(gpu_sim::tb_sched::RoundRobinScheduler::new())),
+            1 => ipc(w, laperm(TbPri, base_cfg)),
+            2 => ipc(w, Box::new(BindOnlyScheduler::new())),
+            _ => ipc(w, laperm(SmxBind, base_cfg)),
         });
         let mut t = Table::new(vec!["mechanisms", "IPC"]);
         for (label, ipc) in mechanisms.iter().zip(ipcs) {
@@ -657,7 +653,7 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
     let mut t = Table::new(vec!["TB throttle / SMX", "adaptive-bind IPC"]);
     let throttles = [4u32, 8, 12, 16];
     let ipcs = crate::sweep::parallel_map(&throttles, jobs, |&throttle| {
-        run(base_cfg.with_throttle_tbs(throttle), LaPermPolicy::AdaptiveBind, None)
+        ipc(w, laperm(AdaptiveBind, base_cfg.with_throttle_tbs(throttle)))
     });
     for (&throttle, ipc) in throttles.iter().zip(ipcs) {
         let label = if throttle >= cfg.max_tbs_per_smx {
@@ -677,19 +673,10 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
     let results = crate::sweep::parallel_map(&policies, jobs, |&policy| {
         let mut warp_cfg = cfg.clone();
         warp_cfg.warp_scheduler = policy;
-        let rr = run_once(w, LaunchModelKind::Dtbl, SchedulerKind::RoundRobin, &warp_cfg)
-            .expect("rr run");
-        let ad = run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, &warp_cfg)
-            .expect("adaptive run");
-        (rr, ad)
+        rr_and_adaptive(w, &warp_cfg)
     });
-    for (policy, (rr, ad)) in policies.iter().zip(results) {
-        t.row(vec![
-            policy.to_string(),
-            format!("{:.1}", rr.ipc),
-            format!("{:.1}", ad.ipc),
-            ratio(ad.ipc / rr.ipc),
-        ]);
+    for (policy, pair) in policies.iter().zip(results) {
+        t.row(gain_row(policy.to_string(), &pair));
     }
     out.push('\n');
     out.push_str(&t.render());
@@ -702,31 +689,16 @@ pub fn ablate(scale: Scale, jobs: usize) -> String {
 /// overflow penalty, so this shows where each scheduler's gain survives a
 /// saturated launch path and where it collapses. Not part of the `all`
 /// report (the golden predates it); run `repro saturation`.
-pub fn saturation(scale: Scale, jobs: usize) -> String {
-    use gpu_sim::engine::Simulator;
-    use workloads::SharedSource;
-
+pub fn saturation(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
     let cfg = GpuConfig::kepler_k20c();
-    let all = suite(scale);
-    let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs-citation in suite");
+    let w = by_name(all, "bfs-citation");
 
     let caps = [8usize, 16, 32, 64, 128, 256];
     let scheds = SchedulerKind::all();
     let cells: Vec<(usize, SchedulerKind)> =
         caps.iter().flat_map(|&cap| scheds.iter().map(move |&s| (cap, s))).collect();
     let results = crate::sweep::parallel_map(&cells, jobs, |&(cap, sched)| {
-        let launch = Box::new(DtblModel::with_table(
-            LaunchLatency::default_for(LaunchModelKind::Dtbl),
-            cap,
-            DtblModel::DEFAULT_OVERFLOW_PENALTY,
-        ));
-        let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
-            .with_scheduler(sched.build(&cfg))
-            .with_launch_model(launch);
-        for hk in w.host_kernels() {
-            sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
-        }
-        let stats = sim.run_to_completion().expect("saturation run");
+        let stats = simulate(w, &cfg, sched.build(&cfg), dtbl_with_table(cap));
         let overflows = stats
             .launch_counters
             .iter()
@@ -998,38 +970,46 @@ pub fn latency_attribution(m: &MatrixRecords) -> String {
 /// from a profiled build, e.g. [`crate::sweep::SweepDoc::build_profiled`]).
 /// `tests/repro_snapshot.rs` diffs this byte-for-byte against the
 /// checked-in ci-scale golden.
-pub fn latency_report(scale: Scale, jobs: usize, m: &MatrixRecords) -> String {
-    format!("{}\n\n{}", latency_sweep(scale, jobs), latency_attribution(m))
+pub fn latency_report(
+    scale: Scale,
+    all: &[Arc<dyn Workload>],
+    jobs: usize,
+    m: &MatrixRecords,
+) -> String {
+    format!("{}\n\n{}", latency_sweep(scale, all, jobs), latency_attribution(m))
 }
 
 /// The complete `repro all` text report: every section in order, each
-/// followed by a blank line. Figure 2 renders `footprints`, the suite's
-/// analyses the sweep document also carries. The `repro` binary prints
-/// exactly this string, and `tests/repro_snapshot.rs` diffs it
-/// byte-for-byte against the checked-in ci-scale golden — one
-/// definition, no drift.
+/// followed by a blank line. `all` is the seed-0 suite on the
+/// `programs` path that the matrix `m` swept, and every study reruns
+/// its workloads; Figure 2 renders `footprints`, the suite's analyses
+/// the sweep document also carries. The `repro` binary prints exactly
+/// this string, and `tests/repro_snapshot.rs` diffs it byte-for-byte
+/// against the checked-in ci-scale golden — one definition, no drift.
 pub fn full_report(
     scale: Scale,
+    programs: ProgramPath,
+    all: &[Arc<dyn Workload>],
     jobs: usize,
     m: &MatrixRecords,
     footprints: &[FootprintAnalysis],
 ) -> String {
     let sections = [
         table1(),
-        table2(scale),
+        table2(scale, all),
         render_fig2(scale, footprints),
         crate::figure4(),
         fig7(m),
         fig8(m),
         fig9(m),
         locality(m),
-        latency_sweep(scale, jobs),
-        timeline(scale, jobs),
-        variance(scale, jobs),
-        sweep_cache(scale, jobs),
-        generality(scale, jobs),
-        overhead(scale, jobs),
-        ablate(scale, jobs),
+        latency_sweep(scale, all, jobs),
+        timeline(scale, all, jobs),
+        variance(scale, programs, all, jobs),
+        sweep_cache(scale, all, jobs),
+        generality(scale, all, jobs),
+        overhead(all, jobs),
+        ablate(scale, all, jobs),
     ];
     let mut out = String::new();
     for s in sections {

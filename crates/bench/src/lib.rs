@@ -14,8 +14,8 @@
 //!   (deadline/retry/backoff), and harness-level fault injection.
 //! * [`shapes`] — EXPERIMENTS.md's qualitative claims as machine-checked
 //!   assertions over `repro.json` (the `repro check` reproduction gate).
-//! * [`cli`] — flag parsing shared by the `laperm-sim` and
-//!   `laperm-trace` binaries.
+//! * [`cli`] — strict flag parsing shared by the `repro`, `laperm-sim`
+//!   and `laperm-trace` binaries.
 
 // Library code must not panic on fallible lookups; tests opt back
 // in locally.
@@ -29,7 +29,7 @@ pub mod shapes;
 pub mod sweep;
 
 pub use experiments::{
-    ablate, fig2, fig7, fig8, fig9, full_report, generality, latency_attribution, latency_report,
+    ablate, fig7, fig8, fig9, full_report, generality, latency_attribution, latency_report,
     latency_sweep, locality, overhead, profile, saturation, sweep_cache, table1, table2, timeline,
     variance, MatrixRecords,
 };

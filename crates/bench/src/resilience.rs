@@ -52,12 +52,14 @@ use sim_metrics::json::{parse, run_from_json, run_to_json, Json};
 use crate::sweep::{panic_message, run_cells, MatrixCell, SweepFailure, SweepOutcome};
 
 /// Fingerprint of the simulation code baked into every cache key: a
-/// cached cell is only reused by a binary whose simulation semantics
-/// are declared unchanged. Bump the revision suffix whenever a change
-/// alters any simulated statistic (scheduler behavior, cache model,
-/// launch path, …); version bumps pick it up automatically. Doc- or
-/// harness-only changes keep the fingerprint — and the cache — intact.
-pub const CODE_FINGERPRINT: &str = concat!("laperm-bench/", env!("CARGO_PKG_VERSION"), "+sim-r1");
+/// cached cell is only reused by a binary built from the same
+/// simulation sources. The suffix is a digest that `build.rs` computes
+/// over every source file of the crates that decide a cell's record
+/// (gpu-sim, dynpar, core, workloads, wdsl, metrics), so any edit there
+/// misses the cache; changes to this crate (the harness and reports)
+/// keep the fingerprint — and the cache — intact.
+pub const CODE_FINGERPRINT: &str =
+    concat!("laperm-bench/", env!("CARGO_PKG_VERSION"), "+src-", env!("LAPERM_SIM_SOURCE_DIGEST"));
 
 /// Watchdog window forced onto wedged-cell injections: tight enough
 /// that a wedged cell fails in simulated moments, loose enough that the

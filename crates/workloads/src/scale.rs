@@ -20,6 +20,14 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Every preset, smallest first.
+    pub const ALL: [Scale; 4] = [Scale::Tiny, Scale::Ci, Scale::Small, Scale::Paper];
+
+    /// The preset whose [`Scale::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        Scale::ALL.into_iter().find(|s| s.name() == name)
+    }
+
     /// A characteristic item count: workloads size their inputs as
     /// multiples of this.
     pub fn items(self) -> u32 {

@@ -16,7 +16,9 @@ use std::sync::OnceLock;
 
 use gpu_sim::config::EngineMode;
 use laperm_bench::sweep::footprint_analyses;
-use laperm_bench::{default_jobs, evaluate_shapes, full_report, MatrixRecords, SweepDoc};
+use laperm_bench::{
+    default_jobs, evaluate_shapes, full_report, MatrixRecords, ProgramPath, SweepDoc,
+};
 use workloads::{suite, Scale};
 
 /// The ci-scale document, built once and shared by the plain-sweep
@@ -40,8 +42,10 @@ fn ci_scale_report_matches_golden() {
     let doc = ci_doc();
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
     let m = MatrixRecords::from_records(doc.records.clone());
-    let footprints = footprint_analyses(&suite(Scale::Ci), default_jobs());
-    let current = full_report(Scale::Ci, default_jobs(), &m, &footprints);
+    let all = suite(Scale::Ci);
+    let footprints = footprint_analyses(&all, default_jobs());
+    let current =
+        full_report(Scale::Ci, ProgramPath::Generator, &all, default_jobs(), &m, &footprints);
     assert_eq!(
         current, golden,
         "ci-scale reproduction report drifted from tests/golden/repro_ci.txt"
@@ -103,7 +107,7 @@ fn ci_scale_latency_matches_golden() {
     assert!(failed.is_empty(), "shape assertions failed on profiled doc:\n{}", failed.join("\n"));
 
     let m = MatrixRecords::from_records(doc.records.clone());
-    let current = laperm_bench::latency_report(Scale::Ci, default_jobs(), &m);
+    let current = laperm_bench::latency_report(Scale::Ci, &suite(Scale::Ci), default_jobs(), &m);
     assert_eq!(
         current, golden,
         "ci-scale latency report drifted from tests/golden/repro_latency_ci.txt"
