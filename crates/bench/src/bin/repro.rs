@@ -1,10 +1,11 @@
 //! Regenerates the LaPerm paper's tables and figures.
 //!
 //! ```text
-//! repro <experiment> [--scale tiny|ci|small|paper] [--jobs N] [--json FILE]
+//! repro <experiment> [--scale tiny|ci|small|paper] [--jobs N]
 //!                    [--engine event|cycle-stepped] [--programs generator|dsl]
 //!                    [--cache-dir DIR] [--retries N] [--cell-deadline CYCLES]
 //!                    [--retry-backoff-ms MS]
+//! repro all|profile [the flags above] [--json FILE]
 //! repro check [--json FILE]
 //! repro dsl FILE.dsl [--jobs N] [--engine event|cycle-stepped]
 //!
@@ -80,7 +81,8 @@
 //! injection.
 //!
 //! An unknown experiment or flag, a flag with no value, an operand after
-//! any experiment but `dsl`, or a flag value outside its valid set
+//! any experiment but `dsl`, `--json` on any experiment but `all`,
+//! `profile` and `check`, or a flag value outside its valid set
 //! (`--scale`, `--engine`, `--programs`, a non-integer or out-of-range
 //! count) exits 2 naming the valid choices, as does a sweep that cannot
 //! start (a DSL port that fails to compile, an unusable `--cache-dir`).
@@ -143,6 +145,10 @@ fn parse_args() -> Args {
     let operand = args.operand(1).map(String::from);
     if let Some(extra) = operand.as_deref().filter(|_| experiment != "dsl") {
         fail(format!("unexpected argument {extra}: only `repro dsl` takes an operand"));
+    }
+    if args.value("--json").is_some() && !matches!(experiment.as_str(), "all" | "profile" | "check")
+    {
+        fail(format!("--json applies only to all, profile and check, not {experiment}"));
     }
     let engine = match args.value("--engine") {
         Some("cycle-stepped") => EngineMode::CycleStepped,

@@ -967,7 +967,7 @@ pub fn latency_attribution(m: &MatrixRecords) -> String {
 /// The complete `repro latency` text report: the Section IV-D
 /// launch-latency sensitivity sweep followed by the lifecycle
 /// attribution tables over a latency-profiled matrix (`m` must come
-/// from a profiled build, e.g. [`crate::sweep::SweepDoc::build_profiled`]).
+/// from a sweep under [`crate::sweep::sweep_config`]`(_, true)`).
 /// `tests/repro_snapshot.rs` diffs this byte-for-byte against the
 /// checked-in ci-scale golden.
 pub fn latency_report(

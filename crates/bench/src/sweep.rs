@@ -267,12 +267,12 @@ pub struct SweepDoc {
 /// per-run `table_overflows` counter (DTBL aggregation-table overflows)
 /// and the `launch_path` stall cause. Version 4 added the optional
 /// per-run `engine` object (engine introspection; present only in
-/// documents built by [`SweepDoc::build_profiled`] — default sweeps
-/// keep it off so both engine modes render byte-identical documents).
-/// Version 5 added the optional per-run `latency` object (TB lifecycle
-/// attribution and launch-DAG critical path; carried by
-/// [`SweepDoc::build_profiled`] documents only, for the same
-/// cross-engine byte-diff reason — latency stats ARE bit-identical
+/// documents swept under `sweep_config(_, true)`, as `repro profile`
+/// does — default sweeps keep it off so both engine modes render
+/// byte-identical documents). Version 5 added the optional per-run
+/// `latency` object (TB lifecycle attribution and launch-DAG critical
+/// path; carried by profiled documents only, for the same cross-engine
+/// byte-diff reason — latency stats ARE bit-identical
 /// across engine modes, but default sweeps stay minimal). Version 6
 /// added the structured failure fields `cell_index` and `attempts`
 /// (which cell of the canonical matrix failed and how many supervised
@@ -286,7 +286,11 @@ pub const SWEEP_SCHEMA_VERSION: u64 = 6;
 /// what lets `repro check` assert the *mechanism* — which scheduling
 /// relation produced the hits — not just the headline rates.
 /// `profiled` also turns on engine introspection and latency
-/// attribution (see [`SweepDoc::build_profiled`]).
+/// attribution: every run then carries the optional `engine` object
+/// (wake-source counts, heap depth, jump lengths) and the optional
+/// `latency` object (lifecycle histograms, critical path). Engine
+/// introspection legitimately differs between engine modes, so default
+/// sweeps keep it off; `repro profile` and `repro latency` turn it on.
 pub fn sweep_config(engine_mode: EngineMode, profiled: bool) -> GpuConfig {
     let mut cfg = GpuConfig::kepler_k20c();
     cfg.profile_locality = true;
@@ -355,33 +359,6 @@ impl SweepDoc {
         let (mut doc, report) = Self::build_matrix(scale, seed, jobs, &cfg, &all, res)?;
         doc.footprints = footprint_rows(&all, jobs);
         Ok((doc, report))
-    }
-
-    /// [`SweepDoc::build`] with engine introspection and latency
-    /// attribution on: every run carries the optional `engine` object
-    /// (wake-source counts, heap depth, jump lengths) and the optional
-    /// `latency` object (lifecycle histograms, critical path). Kept out
-    /// of the default build because the engine introspection
-    /// legitimately differs between engine modes, which would break the
-    /// cross-engine byte-diff; `repro profile` and `repro latency` are
-    /// the consumers.
-    pub fn build_profiled(
-        scale: Scale,
-        seed: u64,
-        jobs: usize,
-        engine_mode: EngineMode,
-    ) -> SweepDoc {
-        let all = suite_seeded(scale, seed);
-        let cfg = sweep_config(engine_mode, true);
-        match Self::build_matrix(scale, seed, jobs, &cfg, &all, &Resilience::default()) {
-            Ok((mut doc, _)) => {
-                doc.footprints = footprint_rows(&all, jobs);
-                doc
-            }
-            // The default policy configures no cache, so setup is
-            // infallible.
-            Err(e) => panic!("profiled sweep setup failed: {e}"),
-        }
     }
 
     /// The matrix half of a sweep: every workload of `all` under both

@@ -32,6 +32,22 @@ fn every_binary_rejects_unknown_flags_and_missing_values() {
 }
 
 #[test]
+fn repro_rejects_json_on_experiments_that_write_no_document() {
+    // Both used to exit 0 and write nothing.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-json-ignored.json");
+    let _ = std::fs::remove_file(&path);
+    let out = path.to_str().expect("utf-8 path");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    rejects(repro, &["table1", "--json", out], "--json applies only to all, profile and check");
+    rejects(
+        repro,
+        &["fig7", "--scale", "tiny", "--json", out],
+        "--json applies only to all, profile and check",
+    );
+    assert!(!path.exists(), "a rejected run wrote {out}");
+}
+
+#[test]
 fn repro_rejects_a_retry_count_that_does_not_fit_u32() {
     // 4294967296 used to narrow to 0 retries.
     rejects(

@@ -358,9 +358,8 @@ impl Cache {
     }
 
     /// Allocates the provenance tag store and reuse-distance histograms.
-    /// Every subsequent access that carries a lineage (see
-    /// [`access_tagged`](Self::access_tagged)) classifies its hits; call
-    /// before the first access so all fills are tagged.
+    /// From then on every [`access`](Self::access) classifies its hits;
+    /// call before the first access so all fills are tagged.
     pub fn enable_provenance(&mut self) {
         let untagged = LineTag {
             lineage: Lineage::new(TbRef { batch: crate::types::BatchId(0), index: 0 }, SmxId(0)),
@@ -371,11 +370,6 @@ impl Cache {
             tags: vec![untagged; self.ways.len()],
             reuse_dist: Default::default(),
         }));
-    }
-
-    /// `true` once [`enable_provenance`](Self::enable_provenance) ran.
-    pub fn provenance_enabled(&self) -> bool {
-        self.prov.is_some()
     }
 
     /// Per-class reuse-distance histograms (cycles between a line's
@@ -394,72 +388,53 @@ impl Cache {
         self.assoc
     }
 
-    /// Probes the cache for `line`. On a miss, allocates the line (LRU
-    /// victim) when `allocate` is true. Statistics are recorded under
-    /// `class`.
-    pub fn access(&mut self, line: LineAddr, allocate: bool, class: AccessClass) -> ProbeResult {
-        self.access_full(line, allocate, class, false).0
-    }
-
-    /// Like [`access`](Self::access), additionally marking the line dirty
-    /// (for stores under a write-back policy) and reporting any valid
+    /// Probes the cache for `line` on behalf of `lineage` at cycle `now`.
+    /// On a miss, allocates the line (LRU victim) when `allocate` is
+    /// true; `mark_dirty` dirties the line (stores under a write-back
+    /// policy). Statistics are recorded under `class`. Returns any valid
     /// line the allocation evicted.
-    pub fn access_full(
+    ///
+    /// With provenance profiling enabled, a hit on a tagged line is
+    /// recorded per [`ReuseClass`] (with reuse distance
+    /// `now - installed_at`) and a fill stamps `lineage` as the line's
+    /// installer. Without it, `lineage` and `now` are unused.
+    pub fn access(
         &mut self,
         line: LineAddr,
         allocate: bool,
         class: AccessClass,
         mark_dirty: bool,
-    ) -> (ProbeResult, Option<EvictedLine>) {
-        let (res, evicted, _) = self.access_indexed(line, allocate, class, mark_dirty);
-        (res, evicted)
-    }
-
-    /// Like [`access_full`](Self::access_full), additionally classifying
-    /// the access against the installer tags when `prov` carries the
-    /// accessor's lineage and the current cycle and profiling is
-    /// enabled: hits are recorded per [`ReuseClass`] (with reuse
-    /// distance `now - installed_at`), fills stamp the new tag. With
-    /// `prov == None` or profiling off this is exactly `access_full`.
-    pub fn access_tagged(
-        &mut self,
-        line: LineAddr,
-        allocate: bool,
-        class: AccessClass,
-        mark_dirty: bool,
-        prov: Option<(&Lineage, Cycle)>,
+        lineage: &Lineage,
+        now: Cycle,
     ) -> (ProbeResult, Option<EvictedLine>) {
         let (res, evicted, way) = self.access_indexed(line, allocate, class, mark_dirty);
-        if let (Some((lineage, now)), Some(state)) = (prov, self.prov.as_mut()) {
-            if let Some(wi) = way {
-                match res {
-                    ProbeResult::Hit => {
-                        let tag = &state.tags[wi];
-                        if tag.valid {
-                            let reuse = lineage.classify(&tag.lineage);
-                            self.stats.prov.by_class[reuse.index()] += 1;
-                            if tag.lineage.smx == lineage.smx {
-                                self.stats.prov.same_smx += 1;
-                            } else {
-                                self.stats.prov.cross_smx += 1;
-                            }
-                            state.reuse_dist[reuse.index()]
-                                .record(now.saturating_sub(tag.installed_at));
+        if let (Some(state), Some(wi)) = (self.prov.as_mut(), way) {
+            match res {
+                ProbeResult::Hit => {
+                    let tag = &state.tags[wi];
+                    if tag.valid {
+                        let reuse = lineage.classify(&tag.lineage);
+                        self.stats.prov.by_class[reuse.index()] += 1;
+                        if tag.lineage.smx == lineage.smx {
+                            self.stats.prov.same_smx += 1;
+                        } else {
+                            self.stats.prov.cross_smx += 1;
                         }
+                        state.reuse_dist[reuse.index()]
+                            .record(now.saturating_sub(tag.installed_at));
                     }
-                    ProbeResult::Miss => {
-                        state.tags[wi] =
-                            LineTag { lineage: *lineage, installed_at: now, valid: true };
-                    }
+                }
+                ProbeResult::Miss => {
+                    state.tags[wi] = LineTag { lineage: *lineage, installed_at: now, valid: true };
                 }
             }
         }
         (res, evicted)
     }
 
-    /// The probe/fill core shared by the plain and provenance-tagged
-    /// paths. The third return is the global way index that was hit or
-    /// (on an allocating miss) filled.
+    /// The probe/fill core of [`access`](Self::access). The third return
+    /// is the global way index that was hit or (on an allocating miss)
+    /// filled.
     fn access_indexed(
         &mut self,
         line: LineAddr,
@@ -548,6 +523,17 @@ mod tests {
         Cache::new(1024, 2, 128)
     }
 
+    /// A clean probe by an ancestry-free TB at cycle 0.
+    fn touch(c: &mut Cache, line: LineAddr, allocate: bool, class: AccessClass) -> ProbeResult {
+        c.access(line, allocate, class, false, &Lineage::new(tbr(0, 0), SmxId(0)), 0).0
+    }
+
+    /// An allocating parent-class probe that dirties the line when
+    /// `dirty`; returns the evicted line.
+    fn fill(c: &mut Cache, line: LineAddr, dirty: bool) -> Option<EvictedLine> {
+        c.access(line, true, AccessClass::Parent, dirty, &Lineage::new(tbr(0, 0), SmxId(0)), 0).1
+    }
+
     #[test]
     fn geometry() {
         let c = tiny();
@@ -558,8 +544,8 @@ mod tests {
     #[test]
     fn first_access_misses_then_hits() {
         let mut c = tiny();
-        assert_eq!(c.access(42, true, AccessClass::Parent), ProbeResult::Miss);
-        assert_eq!(c.access(42, true, AccessClass::Parent), ProbeResult::Hit);
+        assert_eq!(touch(&mut c, 42, true, AccessClass::Parent), ProbeResult::Miss);
+        assert_eq!(touch(&mut c, 42, true, AccessClass::Parent), ProbeResult::Hit);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -567,8 +553,8 @@ mod tests {
     #[test]
     fn no_allocate_probe_does_not_fill() {
         let mut c = tiny();
-        assert_eq!(c.access(7, false, AccessClass::Child), ProbeResult::Miss);
-        assert_eq!(c.access(7, false, AccessClass::Child), ProbeResult::Miss);
+        assert_eq!(touch(&mut c, 7, false, AccessClass::Child), ProbeResult::Miss);
+        assert_eq!(touch(&mut c, 7, false, AccessClass::Child), ProbeResult::Miss);
         assert!(!c.contains(7));
     }
 
@@ -576,10 +562,10 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = tiny();
         // Lines 0, 4, 8 all map to set 0 (4 sets).
-        c.access(0, true, AccessClass::Parent);
-        c.access(4, true, AccessClass::Parent);
-        c.access(0, true, AccessClass::Parent); // 0 is now MRU
-        c.access(8, true, AccessClass::Parent); // evicts 4
+        touch(&mut c, 0, true, AccessClass::Parent);
+        touch(&mut c, 4, true, AccessClass::Parent);
+        touch(&mut c, 0, true, AccessClass::Parent); // 0 is now MRU
+        touch(&mut c, 8, true, AccessClass::Parent); // evicts 4
         assert!(c.contains(0));
         assert!(!c.contains(4));
         assert!(c.contains(8));
@@ -588,8 +574,8 @@ mod tests {
     #[test]
     fn class_split_stats() {
         let mut c = tiny();
-        c.access(1, true, AccessClass::Parent);
-        c.access(1, true, AccessClass::Child);
+        touch(&mut c, 1, true, AccessClass::Parent);
+        touch(&mut c, 1, true, AccessClass::Child);
         assert_eq!(c.stats().parent_misses, 1);
         assert_eq!(c.stats().child_hits, 1);
         assert!((c.stats().child_hit_rate() - 1.0).abs() < 1e-12);
@@ -600,7 +586,7 @@ mod tests {
         let mut c = tiny();
         assert_eq!(c.stats().hit_rate(), 0.0);
         for i in 0..100 {
-            c.access(i % 3, true, AccessClass::Parent);
+            touch(&mut c, i % 3, true, AccessClass::Parent);
         }
         let r = c.stats().hit_rate();
         assert!((0.0..=1.0).contains(&r));
@@ -609,7 +595,7 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut c = tiny();
-        c.access(5, true, AccessClass::Parent);
+        touch(&mut c, 5, true, AccessClass::Parent);
         c.reset();
         assert!(!c.contains(5));
         assert_eq!(c.stats().accesses(), 0);
@@ -635,45 +621,40 @@ mod tests {
     fn eviction_reports_victim_line() {
         let mut c = tiny();
         // Set 0 ways: fill with lines 0 and 4; line 8 evicts line 0.
-        c.access(0, true, AccessClass::Parent);
-        c.access(4, true, AccessClass::Parent);
-        let (res, evicted) = c.access_full(8, true, AccessClass::Parent, false);
-        assert_eq!(res, ProbeResult::Miss);
-        assert_eq!(evicted, Some(EvictedLine { line: 0, dirty: false }));
+        touch(&mut c, 0, true, AccessClass::Parent);
+        touch(&mut c, 4, true, AccessClass::Parent);
+        assert_eq!(fill(&mut c, 8, false), Some(EvictedLine { line: 0, dirty: false }));
     }
 
     #[test]
     fn dirty_bit_tracks_stores() {
         let mut c = tiny();
-        c.access_full(0, true, AccessClass::Parent, true); // dirty fill
-        c.access(4, true, AccessClass::Parent);
-        let (_, evicted) = c.access_full(8, true, AccessClass::Parent, false);
-        assert_eq!(evicted, Some(EvictedLine { line: 0, dirty: true }));
+        fill(&mut c, 0, true); // dirty fill
+        touch(&mut c, 4, true, AccessClass::Parent);
+        assert_eq!(fill(&mut c, 8, false), Some(EvictedLine { line: 0, dirty: true }));
     }
 
     #[test]
     fn hit_can_set_dirty_later() {
         let mut c = tiny();
-        c.access(0, true, AccessClass::Parent); // clean fill
-        c.access_full(0, true, AccessClass::Parent, true); // store hit
-        c.access(4, true, AccessClass::Parent);
-        c.access(4, true, AccessClass::Parent); // make 4 MRU
-        let (_, evicted) = c.access_full(8, true, AccessClass::Parent, false);
-        assert_eq!(evicted, Some(EvictedLine { line: 0, dirty: true }));
+        touch(&mut c, 0, true, AccessClass::Parent); // clean fill
+        fill(&mut c, 0, true); // store hit
+        touch(&mut c, 4, true, AccessClass::Parent);
+        touch(&mut c, 4, true, AccessClass::Parent); // make 4 MRU
+        assert_eq!(fill(&mut c, 8, false), Some(EvictedLine { line: 0, dirty: true }));
     }
 
     #[test]
     fn no_eviction_reported_for_invalid_victim() {
         let mut c = tiny();
-        let (_, evicted) = c.access_full(0, true, AccessClass::Parent, false);
-        assert_eq!(evicted, None);
+        assert_eq!(fill(&mut c, 0, false), None);
     }
 
     #[test]
     fn distinct_sets_do_not_conflict() {
         let mut c = tiny();
         for line in 0..4 {
-            c.access(line, true, AccessClass::Parent);
+            touch(&mut c, line, true, AccessClass::Parent);
         }
         for line in 0..4 {
             assert!(c.contains(line), "line {line} should still be resident");
@@ -775,9 +756,9 @@ mod tests {
         let child = child_lineage(tbr(1, 0), tbr(0, 1), 1);
         // Parent installs at cycle 10, child hits at cycle 42, parent
         // re-hits at cycle 50.
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&parent, 10)));
-        c.access_tagged(0, true, AccessClass::Child, false, Some((&child, 42)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&parent, 50)));
+        c.access(0, true, AccessClass::Parent, false, &parent, 10);
+        c.access(0, true, AccessClass::Child, false, &child, 42);
+        c.access(0, true, AccessClass::Parent, false, &parent, 50);
         let s = c.stats();
         assert_eq!(s.hits, 2);
         assert_eq!(s.prov.class(ReuseClass::ParentChild), 1);
@@ -796,9 +777,9 @@ mod tests {
         let mut c = tiny();
         c.enable_provenance();
         let l = Lineage::new(tbr(0, 0), SmxId(0));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 0)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 100)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 300)));
+        c.access(0, true, AccessClass::Parent, false, &l, 0);
+        c.access(0, true, AccessClass::Parent, false, &l, 100);
+        c.access(0, true, AccessClass::Parent, false, &l, 300);
         let dist = c.reuse_dist().unwrap();
         let sr = &dist[ReuseClass::SelfReuse.index()];
         assert_eq!(sr.count, 2);
@@ -813,22 +794,22 @@ mod tests {
         let b = Lineage::new(tbr(5, 0), SmxId(1));
         // a installs 0; 4 and 8 (same set) evict it; b reinstalls 0;
         // a's hit on it must classify against b, not the stale tag.
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&a, 0)));
-        c.access_tagged(4, true, AccessClass::Parent, false, Some((&a, 1)));
-        c.access_tagged(8, true, AccessClass::Parent, false, Some((&a, 2)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&b, 3)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&a, 4)));
+        c.access(0, true, AccessClass::Parent, false, &a, 0);
+        c.access(4, true, AccessClass::Parent, false, &a, 1);
+        c.access(8, true, AccessClass::Parent, false, &a, 2);
+        c.access(0, true, AccessClass::Parent, false, &b, 3);
+        c.access(0, true, AccessClass::Parent, false, &a, 4);
         assert_eq!(c.stats().prov.class(ReuseClass::Unrelated), 1);
         assert_eq!(c.stats().prov.class(ReuseClass::SelfReuse), 0);
     }
 
     #[test]
-    fn untagged_access_neither_classifies_nor_stamps() {
+    fn lines_filled_before_profiling_are_not_classified() {
         let mut c = tiny();
+        touch(&mut c, 0, true, AccessClass::Parent); // untagged fill
         c.enable_provenance();
         let l = Lineage::new(tbr(0, 0), SmxId(0));
-        c.access_tagged(0, true, AccessClass::Parent, false, None); // untagged fill
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 5)));
+        c.access(0, true, AccessClass::Parent, false, &l, 5);
         // Hit on an untagged line: counted as a hit, not classified.
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().prov.total(), 0);
@@ -838,9 +819,8 @@ mod tests {
     fn disabled_provenance_is_plain_access() {
         let mut c = tiny();
         let l = Lineage::new(tbr(0, 0), SmxId(0));
-        assert!(!c.provenance_enabled());
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 0)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 1)));
+        c.access(0, true, AccessClass::Parent, false, &l, 0);
+        c.access(0, true, AccessClass::Parent, false, &l, 1);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().prov.total(), 0);
         assert!(c.reuse_dist().is_none());
@@ -851,14 +831,14 @@ mod tests {
         let mut c = tiny();
         c.enable_provenance();
         let l = Lineage::new(tbr(0, 0), SmxId(0));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 0)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 9)));
+        c.access(0, true, AccessClass::Parent, false, &l, 0);
+        c.access(0, true, AccessClass::Parent, false, &l, 9);
         c.reset();
         assert_eq!(c.stats().prov.total(), 0);
         assert_eq!(c.reuse_dist().unwrap()[ReuseClass::SelfReuse.index()].count, 0);
         // A post-reset hit on a refilled line classifies fresh.
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 20)));
-        c.access_tagged(0, true, AccessClass::Parent, false, Some((&l, 21)));
+        c.access(0, true, AccessClass::Parent, false, &l, 20);
+        c.access(0, true, AccessClass::Parent, false, &l, 21);
         assert_eq!(c.stats().prov.class(ReuseClass::SelfReuse), 1);
     }
 }

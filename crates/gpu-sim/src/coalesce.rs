@@ -29,12 +29,6 @@ pub fn coalesce_into(addrs: &[Addr], line_bits: u32, out: &mut Vec<LineAddr>) {
     }
 }
 
-/// Number of transactions a warp access would generate, without
-/// materializing them.
-pub fn transaction_count(addrs: &[Addr], line_bits: u32) -> usize {
-    coalesce(addrs, line_bits).len()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -60,13 +54,13 @@ mod tests {
     #[test]
     fn fully_scattered_32_transactions() {
         let addrs: Vec<Addr> = (0..32).map(|t| t * 128 * 17).collect();
-        assert_eq!(transaction_count(&addrs, LINE_BITS), 32);
+        assert_eq!(coalesce(&addrs, LINE_BITS).len(), 32);
     }
 
     #[test]
     fn broadcast_one_transaction() {
         let addrs = vec![12345u64; 32];
-        assert_eq!(transaction_count(&addrs, LINE_BITS), 1);
+        assert_eq!(coalesce(&addrs, LINE_BITS).len(), 1);
     }
 
     #[test]
@@ -84,6 +78,6 @@ mod tests {
     #[test]
     fn count_never_exceeds_thread_count() {
         let addrs: Vec<Addr> = (0..32).map(|t| t * 999).collect();
-        assert!(transaction_count(&addrs, LINE_BITS) <= 32);
+        assert!(coalesce(&addrs, LINE_BITS).len() <= 32);
     }
 }

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::cache::{AccessClass, Lineage, ReuseClass};
-use crate::component::Component;
 use crate::config::{EngineMode, GpuConfig, OverflowPolicy};
 use crate::error::{SimError, StuckTb};
 use crate::fault::{FaultPlan, LaunchDisposition};
@@ -669,7 +668,7 @@ impl Simulator {
     /// Steps one (alive) SMX and absorbs its launches and completions.
     fn run_smx(&mut self, i: usize, now: Cycle, launch_credits: &mut u64) -> Result<(), SimError> {
         {
-            let events = self.smxs[i].step_gated(now, &mut self.mem, &self.cfg, launch_credits);
+            let events = self.smxs[i].step(now, &mut self.mem, &self.cfg, launch_credits);
             for launch in events.launches {
                 let parent_batch = launch.by.batch;
                 let parent_priority = self.batches[parent_batch.index()].priority;
@@ -923,19 +922,18 @@ impl Simulator {
         }
     }
 
-    /// Arms the event engine: seeds the wake-up heap from each SMX's
-    /// published next tick. From here on `place` and `step_event` keep
-    /// it current.
+    /// Arms the event engine: seeds the wake-up heap with each SMX's
+    /// next event. From here on `place` and `step_event` keep it
+    /// current.
     fn arm_event_heap(&mut self) {
         self.event_live = true;
         self.event_heap.clear();
         self.smx_wake.clear();
         self.smx_wake.resize(self.smxs.len(), Cycle::MAX);
         for i in 0..self.smxs.len() {
-            if Component::next_tick(&self.smxs[i]).is_some() {
-                let at = self.smx_wake_for(i, self.cycle);
-                self.set_smx_wake(i, at);
-            }
+            // An empty SMX's wake is `Cycle::MAX`, which schedules nothing.
+            let at = self.smx_wake_for(i, self.cycle);
+            self.set_smx_wake(i, at);
         }
     }
 
@@ -1299,20 +1297,12 @@ impl Simulator {
         let program = self.lowered_program(kind, param, tb_index, req.threads);
         let class = if origin.is_some() { AccessClass::Child } else { AccessClass::Parent };
         self.dispatch_seq += 1;
-        if self.cfg.profile_locality {
-            let lineage = self.lineage_of(tb, d.smx, origin);
-            self.smxs[d.smx.index()].place_traced(
-                tb,
-                class,
-                program,
-                req,
-                self.dispatch_seq,
-                now,
-                lineage,
-            );
+        let lineage = if self.cfg.profile_locality {
+            self.lineage_of(tb, d.smx, origin)
         } else {
-            self.smxs[d.smx.index()].place(tb, class, program, req, self.dispatch_seq, now);
-        }
+            Lineage::new(tb, d.smx)
+        };
+        self.smxs[d.smx.index()].place(lineage, class, program, req, self.dispatch_seq, now);
 
         if self.event_live {
             // The placed TB is runnable this very cycle; stage 4 of the

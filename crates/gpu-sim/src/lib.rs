@@ -41,7 +41,6 @@
 
 pub mod cache;
 pub mod coalesce;
-pub mod component;
 pub mod config;
 pub mod dram;
 pub mod engine;

@@ -84,9 +84,7 @@ impl MemorySystem {
 
     /// Enables locality provenance profiling on every cache: installer
     /// tags plus per-class reuse-distance histograms. Call before the
-    /// first access so all fills are tagged; accesses classify only when
-    /// they carry a lineage (see
-    /// [`warp_access_traced`](Self::warp_access_traced)).
+    /// first access so all fills are tagged.
     pub fn enable_provenance(&mut self) {
         for l1 in &mut self.l1s {
             l1.enable_provenance();
@@ -95,10 +93,14 @@ impl MemorySystem {
     }
 
     /// Services one warp memory instruction made of the given coalesced
-    /// line transactions, issued from `smx` at cycle `now`.
+    /// line transactions, issued from `smx` at cycle `now` by the TB
+    /// `lineage` names.
     ///
     /// Returns the cycles until the warp's data is ready: the maximum
     /// transaction latency, plus per-extra-transaction serialization.
+    /// With provenance profiling enabled, hits are also attributed to a
+    /// [`ReuseClass`](crate::cache::ReuseClass); timing is identical
+    /// either way.
     pub fn warp_access(
         &mut self,
         smx: SmxId,
@@ -106,22 +108,7 @@ impl MemorySystem {
         is_store: bool,
         class: AccessClass,
         now: Cycle,
-    ) -> u64 {
-        self.warp_access_traced(smx, lines, is_store, class, now, None)
-    }
-
-    /// Like [`warp_access`](Self::warp_access), additionally carrying
-    /// the accessing TB's [`Lineage`] so hits are attributed to a
-    /// [`ReuseClass`](crate::cache::ReuseClass) when provenance
-    /// profiling is enabled. Timing is identical either way.
-    pub fn warp_access_traced(
-        &mut self,
-        smx: SmxId,
-        lines: &[LineAddr],
-        is_store: bool,
-        class: AccessClass,
-        now: Cycle,
-        lineage: Option<&Lineage>,
+        lineage: &Lineage,
     ) -> u64 {
         if lines.is_empty() {
             return 0;
@@ -142,12 +129,11 @@ impl MemorySystem {
         is_store: bool,
         class: AccessClass,
         now: Cycle,
-        lineage: Option<&Lineage>,
+        lineage: &Lineage,
     ) -> u64 {
-        let prov = lineage.map(|l| (l, now));
         let l1 = &mut self.l1s[smx.index()];
         // L1: loads allocate, stores are write-through no-allocate.
-        let (l1_result, _) = l1.access_tagged(line, !is_store, class, false, prov);
+        let (l1_result, _) = l1.access(line, !is_store, class, false, lineage, now);
         if l1_result == ProbeResult::Hit && !is_store {
             return u64::from(self.l1_hit_latency);
         }
@@ -155,7 +141,7 @@ impl MemorySystem {
         // Stores always propagate to L2 (write-through L1); load misses
         // fetch from L2. L2 is write-back: stores dirty the line and
         // dirty victims cost DRAM write-back bandwidth.
-        let (l2_result, evicted) = self.l2.access_tagged(line, true, class, is_store, prov);
+        let (l2_result, evicted) = self.l2.access(line, true, class, is_store, lineage, now);
         let base = u64::from(self.l1_hit_latency) + u64::from(self.l2_hit_latency);
         if let Some(victim) = evicted {
             if victim.dirty {
@@ -278,6 +264,19 @@ mod tests {
         MemorySystem::new(&GpuConfig::small_test())
     }
 
+    /// A warp access by an ancestry-free TB running on `smx`.
+    fn access(
+        m: &mut MemorySystem,
+        smx: SmxId,
+        lines: &[LineAddr],
+        is_store: bool,
+        class: AccessClass,
+        now: Cycle,
+    ) -> u64 {
+        let tb = crate::types::TbRef { batch: crate::types::BatchId(0), index: 0 };
+        m.warp_access(smx, lines, is_store, class, now, &Lineage::new(tb, smx))
+    }
+
     fn cold_latency(cfg: &GpuConfig) -> u64 {
         // First touch: L1 miss + L2 miss + DRAM row miss.
         u64::from(cfg.l1_hit_latency + cfg.l2_hit_latency + cfg.dram_latency) + 12
@@ -287,7 +286,7 @@ mod tests {
     fn cold_load_costs_full_path() {
         let mut m = system();
         let cfg = GpuConfig::small_test();
-        let lat = m.warp_access(SmxId(0), &[1000], false, AccessClass::Parent, 0);
+        let lat = access(&mut m, SmxId(0), &[1000], false, AccessClass::Parent, 0);
         assert_eq!(lat, cold_latency(&cfg));
     }
 
@@ -295,8 +294,8 @@ mod tests {
     fn warm_load_hits_l1() {
         let mut m = system();
         let cfg = GpuConfig::small_test();
-        m.warp_access(SmxId(0), &[1000], false, AccessClass::Parent, 0);
-        let lat = m.warp_access(SmxId(0), &[1000], false, AccessClass::Parent, 10_000);
+        access(&mut m, SmxId(0), &[1000], false, AccessClass::Parent, 0);
+        let lat = access(&mut m, SmxId(0), &[1000], false, AccessClass::Parent, 10_000);
         assert_eq!(lat, u64::from(cfg.l1_hit_latency));
     }
 
@@ -304,8 +303,8 @@ mod tests {
     fn other_smx_misses_l1_hits_l2() {
         let mut m = system();
         let cfg = GpuConfig::small_test();
-        m.warp_access(SmxId(0), &[1000], false, AccessClass::Parent, 0);
-        let lat = m.warp_access(SmxId(1), &[1000], false, AccessClass::Child, 10_000);
+        access(&mut m, SmxId(0), &[1000], false, AccessClass::Parent, 0);
+        let lat = access(&mut m, SmxId(1), &[1000], false, AccessClass::Child, 10_000);
         assert_eq!(lat, u64::from(cfg.l1_hit_latency + cfg.l2_hit_latency));
         assert_eq!(m.l1_stats(SmxId(1)).child_misses, 1);
         assert_eq!(m.l2_stats().child_hits, 1);
@@ -314,10 +313,10 @@ mod tests {
     #[test]
     fn stores_do_not_allocate_l1() {
         let mut m = system();
-        m.warp_access(SmxId(0), &[2000], true, AccessClass::Parent, 0);
+        access(&mut m, SmxId(0), &[2000], true, AccessClass::Parent, 0);
         let cfg = GpuConfig::small_test();
         // Load after store: line is in L2 (write-allocate) but not L1.
-        let lat = m.warp_access(SmxId(0), &[2000], false, AccessClass::Parent, 10_000);
+        let lat = access(&mut m, SmxId(0), &[2000], false, AccessClass::Parent, 10_000);
         assert_eq!(lat, u64::from(cfg.l1_hit_latency + cfg.l2_hit_latency));
     }
 
@@ -325,11 +324,11 @@ mod tests {
     fn concurrent_misses_to_same_line_merge_in_mshr() {
         let mut m = system();
         let cfg = GpuConfig::small_test();
-        let first = m.warp_access(SmxId(0), &[5000], false, AccessClass::Parent, 0);
+        let first = access(&mut m, SmxId(0), &[5000], false, AccessClass::Parent, 0);
         // A second SMX misses the same line 10 cycles later, while the
         // fill is still in flight: it waits for the same fill instead of
         // paying a full DRAM trip.
-        let second = m.warp_access(SmxId(1), &[5000], false, AccessClass::Child, 10);
+        let second = access(&mut m, SmxId(1), &[5000], false, AccessClass::Child, 10);
         assert_eq!(m.mshr_merges(), 1);
         assert_eq!(second, first - 10);
         // Only one DRAM transaction happened.
@@ -340,16 +339,16 @@ mod tests {
     #[test]
     fn expired_mshr_entry_is_not_merged() {
         let mut m = system();
-        m.warp_access(SmxId(0), &[5000], false, AccessClass::Parent, 0);
+        access(&mut m, SmxId(0), &[5000], false, AccessClass::Parent, 0);
         // Far in the future the line was evicted from L2? No — it was
         // filled; touch enough lines to evict it, then miss again.
         let cfg = GpuConfig::small_test();
         let lines_to_evict: Vec<u64> =
             (0..(cfg.l2_bytes / cfg.line_bytes) as u64 + 64).map(|i| 5000 + (i + 1) * 8).collect();
         for chunk in lines_to_evict.chunks(16) {
-            m.warp_access(SmxId(0), chunk, false, AccessClass::Parent, 100_000);
+            access(&mut m, SmxId(0), chunk, false, AccessClass::Parent, 100_000);
         }
-        let lat = m.warp_access(SmxId(0), &[5000], false, AccessClass::Parent, 1_000_000);
+        let lat = access(&mut m, SmxId(0), &[5000], false, AccessClass::Parent, 1_000_000);
         assert!(lat > u64::from(cfg.l1_hit_latency + cfg.l2_hit_latency));
         assert_eq!(m.mshr_merges(), 0);
     }
@@ -360,9 +359,9 @@ mod tests {
         let cfg = GpuConfig::small_test();
         let l2_lines = u64::from(cfg.l2_bytes / cfg.line_bytes);
         // Dirty one line, then stream enough lines through L2 to evict it.
-        m.warp_access(SmxId(0), &[0], true, AccessClass::Parent, 0);
+        access(&mut m, SmxId(0), &[0], true, AccessClass::Parent, 0);
         for i in 0..l2_lines + cfg.l2_assoc as u64 {
-            m.warp_access(SmxId(0), &[i + 1], false, AccessClass::Parent, 1000 + i);
+            access(&mut m, SmxId(0), &[i + 1], false, AccessClass::Parent, 1000 + i);
         }
         assert!(m.l2_writebacks() >= 1, "dirty line should be written back");
         assert!(m.dram_accesses() > l2_lines, "write-back adds DRAM traffic");
@@ -372,32 +371,32 @@ mod tests {
     fn multiple_transactions_serialize() {
         let mut m = system();
         let cfg = GpuConfig::small_test();
-        m.warp_access(SmxId(0), &[10], false, AccessClass::Parent, 0);
-        m.warp_access(SmxId(0), &[11], false, AccessClass::Parent, 0);
-        let lat = m.warp_access(SmxId(0), &[10, 11], false, AccessClass::Parent, 10_000);
+        access(&mut m, SmxId(0), &[10], false, AccessClass::Parent, 0);
+        access(&mut m, SmxId(0), &[11], false, AccessClass::Parent, 0);
+        let lat = access(&mut m, SmxId(0), &[10, 11], false, AccessClass::Parent, 10_000);
         assert_eq!(lat, u64::from(cfg.l1_hit_latency) + u64::from(cfg.transaction_issue_cycles));
     }
 
     #[test]
     fn empty_access_is_free() {
         let mut m = system();
-        assert_eq!(m.warp_access(SmxId(0), &[], false, AccessClass::Parent, 0), 0);
+        assert_eq!(access(&mut m, SmxId(0), &[], false, AccessClass::Parent, 0), 0);
     }
 
     #[test]
     fn l1_total_aggregates_across_smxs() {
         let mut m = system();
-        m.warp_access(SmxId(0), &[1], false, AccessClass::Parent, 0);
-        m.warp_access(SmxId(1), &[2], false, AccessClass::Parent, 0);
+        access(&mut m, SmxId(0), &[1], false, AccessClass::Parent, 0);
+        access(&mut m, SmxId(1), &[2], false, AccessClass::Parent, 0);
         assert_eq!(m.l1_stats_total().accesses(), 2);
     }
 
     #[test]
     fn dram_accessed_only_on_l2_miss() {
         let mut m = system();
-        m.warp_access(SmxId(0), &[5], false, AccessClass::Parent, 0);
+        access(&mut m, SmxId(0), &[5], false, AccessClass::Parent, 0);
         assert_eq!(m.dram_accesses(), 1);
-        m.warp_access(SmxId(1), &[5], false, AccessClass::Parent, 10_000);
+        access(&mut m, SmxId(1), &[5], false, AccessClass::Parent, 10_000);
         assert_eq!(m.dram_accesses(), 1);
     }
 
@@ -408,7 +407,7 @@ mod tests {
         let cfg = GpuConfig::small_test();
         let seq: Vec<u64> = (0..64u64).map(|i| i * u64::from(cfg.dram_channels)).collect();
         for (i, &l) in seq.iter().enumerate() {
-            m.warp_access(SmxId(0), &[l], false, AccessClass::Parent, 10_000 * i as u64);
+            access(&mut m, SmxId(0), &[l], false, AccessClass::Parent, 10_000 * i as u64);
         }
         assert!(m.dram_row_hit_rate() > 0.5);
     }

@@ -267,8 +267,9 @@ impl Smx {
         stalls
     }
 
-    /// Places a TB onto this SMX; `program` must be lowered for
-    /// `req.threads` threads and this configuration's warp width.
+    /// Places the TB `lineage` names onto this SMX; `program` must be
+    /// lowered for `req.threads` threads and this configuration's warp
+    /// width. Every memory access the TB issues carries `lineage`.
     ///
     /// # Panics
     ///
@@ -276,30 +277,12 @@ impl Smx {
     /// validates dispatch decisions before placing.
     pub fn place(
         &mut self,
-        tb: TbRef,
-        class: AccessClass,
-        program: Arc<LoweredProgram>,
-        req: ResourceReq,
-        dispatch_seq: u64,
-        now: Cycle,
-    ) {
-        let lineage = Lineage::new(tb, self.id);
-        self.place_traced(tb, class, program, req, dispatch_seq, now, lineage);
-    }
-
-    /// [`place`](Self::place) with an explicit ancestry, for runs with
-    /// locality profiling on (the engine computes the lineage from its
-    /// batch table at dispatch time).
-    #[allow(clippy::too_many_arguments)]
-    pub fn place_traced(
-        &mut self,
-        tb: TbRef,
-        class: AccessClass,
-        program: Arc<LoweredProgram>,
-        req: ResourceReq,
-        dispatch_seq: u64,
-        now: Cycle,
         lineage: Lineage,
+        class: AccessClass,
+        program: Arc<LoweredProgram>,
+        req: ResourceReq,
+        dispatch_seq: u64,
+        now: Cycle,
     ) {
         debug_assert_eq!(program.threads(), req.threads, "program lowered for another TB size");
         self.free.take(&req);
@@ -312,7 +295,7 @@ impl Smx {
             }
         }
         self.resident.push(ResidentTb {
-            tb,
+            tb: lineage.tb,
             class,
             program,
             warps,
@@ -327,22 +310,14 @@ impl Smx {
         self.next_event = self.next_event.min(now);
     }
 
-    /// Advances the SMX by one cycle with an unbounded launch path.
-    pub fn step(&mut self, now: Cycle, mem: &mut MemorySystem, cfg: &GpuConfig) -> SmxEvents {
-        let mut credits = u64::MAX;
-        self.step_gated(now, mem, cfg, &mut credits)
-    }
-
     /// Advances the SMX by one cycle, drawing device launches from
     /// `launch_credits` — the remaining pending-launch-buffer slots this
     /// cycle, shared across SMXs by the engine. Each issued launch
     /// consumes one credit; at zero credits a launching warp blocks and
     /// retries next cycle, with the blocked cycles attributed to
-    /// [`StallCause::LaunchPath`]. Pass `u64::MAX` (what
-    /// [`step`](Self::step) does) for the unbounded machine — the gate is
-    /// then never taken and behavior is bit-identical to the ungated
-    /// path.
-    pub fn step_gated(
+    /// [`StallCause::LaunchPath`]. With `u64::MAX` credits (the unbounded
+    /// machine) the gate is never taken.
+    pub fn step(
         &mut self,
         now: Cycle,
         mem: &mut MemorySystem,
@@ -480,31 +455,19 @@ impl Smx {
                     (1, StallCause::Scoreboard)
                 } else {
                     let mshr_full_before = mem.mshr_full_events();
-                    let lat = if cfg.profile_locality {
-                        let before = *mem.l1_stats(smx_id);
-                        let lat = mem
-                            .warp_access_traced(
-                                smx_id,
-                                lines,
-                                is_store,
-                                tb.class,
-                                now,
-                                Some(&tb.lineage),
-                            )
-                            .max(1);
-                        if tb.class == AccessClass::Child {
-                            let after = mem.l1_stats(smx_id);
-                            let pc_idx = ReuseClass::ParentChild.index();
-                            bind_delta = Some((
-                                tb.lineage.parent_smx == Some(smx_id),
-                                after.hits - before.hits,
-                                after.prov.by_class[pc_idx] - before.prov.by_class[pc_idx],
-                            ));
-                        }
-                        lat
-                    } else {
-                        mem.warp_access(smx_id, lines, is_store, tb.class, now).max(1)
-                    };
+                    let before = (cfg.profile_locality && tb.class == AccessClass::Child)
+                        .then(|| *mem.l1_stats(smx_id));
+                    let lat =
+                        mem.warp_access(smx_id, lines, is_store, tb.class, now, &tb.lineage).max(1);
+                    if let Some(before) = before {
+                        let after = mem.l1_stats(smx_id);
+                        let pc_idx = ReuseClass::ParentChild.index();
+                        bind_delta = Some((
+                            tb.lineage.parent_smx == Some(smx_id),
+                            after.hits - before.hits,
+                            after.prov.by_class[pc_idx] - before.prov.by_class[pc_idx],
+                        ));
+                    }
                     let wait = if mem.mshr_full_events() > mshr_full_before {
                         StallCause::MshrFull
                     } else {
@@ -667,7 +630,8 @@ mod tests {
     fn place(s: &mut Smx, cfg: &GpuConfig, i: u32, program: TbProgram, threads: u32) {
         let lowered = LoweredProgram::lower(&program, threads, cfg.warp_size, cfg.line_bits());
         let req = ResourceReq::new(threads, 8, 0);
-        s.place(tb_ref(i), AccessClass::Parent, Arc::new(lowered), req, u64::from(i), 0);
+        let lineage = Lineage::new(tb_ref(i), s.id());
+        s.place(lineage, AccessClass::Parent, Arc::new(lowered), req, u64::from(i), 0);
     }
 
     fn tb_ref(i: u32) -> TbRef {
@@ -676,8 +640,9 @@ mod tests {
 
     fn run_until_empty(s: &mut Smx, mem: &mut MemorySystem, cfg: &GpuConfig) -> Vec<TbCompletion> {
         let mut completions = Vec::new();
+        let mut unbounded = u64::MAX;
         for now in 0..100_000 {
-            let ev = s.step(now, mem, cfg);
+            let ev = s.step(now, mem, cfg, &mut unbounded);
             completions.extend(ev.completions);
             if s.resident_tbs() == 0 {
                 break;
@@ -775,8 +740,9 @@ mod tests {
         let prog = TbProgram::new(vec![TbOp::Launch(spec.clone())]);
         place(&mut s, &cfg, 0, prog, 64);
         let mut launches = Vec::new();
+        let mut unbounded = u64::MAX;
         for now in 0..1000 {
-            let ev = s.step(now, &mut mem, &cfg);
+            let ev = s.step(now, &mut mem, &cfg, &mut unbounded);
             launches.extend(ev.launches);
             if s.resident_tbs() == 0 {
                 break;
@@ -802,7 +768,7 @@ mod tests {
         // No credits: the warp blocks, nothing issues, cause is LaunchPath.
         let mut credits = 0u64;
         for now in 0..3 {
-            let ev = s.step_gated(now, &mut mem, &cfg, &mut credits);
+            let ev = s.step(now, &mut mem, &cfg, &mut credits);
             assert!(ev.launches.is_empty());
         }
         assert_eq!(s.warp_instructions, 0);
@@ -811,7 +777,7 @@ mod tests {
         assert!(s.stalls(3).launch_path >= 2);
         // A credit frees the warp; the launch issues and consumes it.
         let mut credits = 1u64;
-        let ev = s.step_gated(3, &mut mem, &cfg, &mut credits);
+        let ev = s.step(3, &mut mem, &cfg, &mut credits);
         assert_eq!(ev.launches.len(), 1);
         assert_eq!(credits, 0);
         assert_eq!(s.instruction_mix.launches, 1);

@@ -5,10 +5,11 @@
 //! dependencies. Each test sweeps many seeds, so the coverage is the
 //! same in spirit: random inputs, invariant assertions.
 
-use gpu_sim::cache::{AccessClass, Cache, ProbeResult};
-use gpu_sim::coalesce::{coalesce, coalesce_into, transaction_count};
+use gpu_sim::cache::{AccessClass, Cache, Lineage, ProbeResult};
+use gpu_sim::coalesce::{coalesce, coalesce_into};
 use gpu_sim::dram::Dram;
 use gpu_sim::program::AddrPattern;
+use gpu_sim::types::{BatchId, SmxId, TbRef};
 
 /// SplitMix64: tiny, statistically fine for test-input generation.
 struct Rng(u64);
@@ -71,9 +72,11 @@ fn cache_matches_reference_lru() {
         // 4 sets x 2 ways.
         let mut cache = Cache::new(1024, 2, 128);
         let mut reference = ReferenceLru::new(4, 2);
+        let lineage = Lineage::new(TbRef { batch: BatchId(0), index: 0 }, SmxId(0));
         for &line in &lines {
             let expected = reference.access(line);
-            let got = cache.access(line, true, AccessClass::Parent) == ProbeResult::Hit;
+            let (res, _) = cache.access(line, true, AccessClass::Parent, false, &lineage, 0);
+            let got = res == ProbeResult::Hit;
             assert_eq!(got, expected, "divergence on line {line} (seed {seed})");
         }
         assert_eq!(cache.stats().accesses(), lines.len() as u64);
@@ -88,8 +91,9 @@ fn cache_stats_are_consistent() {
         let mut rng = Rng(1000 + seed);
         let len = rng.below(200) as usize;
         let mut cache = Cache::new(4096, 4, 128);
+        let lineage = Lineage::new(TbRef { batch: BatchId(0), index: 0 }, SmxId(0));
         for _ in 0..len {
-            cache.access(rng.below(1000), true, AccessClass::Child);
+            cache.access(rng.below(1000), true, AccessClass::Child, false, &lineage, 0);
         }
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, len as u64);
@@ -119,7 +123,6 @@ fn coalescer_bounds() {
         for &a in &addrs {
             assert!(lines.contains(&(a >> 7)));
         }
-        assert_eq!(transaction_count(&addrs, 7), lines.len());
         coalesce_into(&addrs, 7, &mut scratch);
         assert_eq!(scratch, lines);
     }
@@ -135,7 +138,7 @@ fn coalescer_merges_within_line() {
         let count = rng.range(1, 32);
         let line_base = base & !127;
         let addrs: Vec<u64> = (0..count).map(|i| line_base + i * 4).collect();
-        assert_eq!(transaction_count(&addrs, 7), 1);
+        assert_eq!(coalesce(&addrs, 7).len(), 1);
     }
 }
 

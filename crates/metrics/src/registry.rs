@@ -5,10 +5,12 @@
 //! simulator's own [`Pow2Hist`] histograms with fixed power-of-two
 //! buckets (so recording is two
 //! instructions and the memory footprint is constant, no matter how many
-//! samples go in). The harness, timeline, Perfetto exporter, and the
-//! `laperm-trace` CLI all speak this one vocabulary; [`registry_for_run`]
-//! builds the standard registry from a finished run's statistics and
-//! trace.
+//! samples go in). [`registry_for_run`] builds the standard registry from
+//! a finished run's statistics and trace. Its callers are
+//! `laperm-trace --metrics`, which prints it, and
+//! `tests/trace_invariants.rs`, which checks it against the run's
+//! statistics; the harness, timeline and Perfetto exporter do not use
+//! it.
 
 use std::collections::BTreeMap;
 

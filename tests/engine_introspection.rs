@@ -15,7 +15,8 @@ use dynpar::{LaunchLatency, LaunchModelKind};
 use gpu_sim::config::{EngineMode, GpuConfig};
 use gpu_sim::engine::Simulator;
 use gpu_sim::stats::SimStats;
-use laperm_bench::sweep::SweepDoc;
+use laperm_bench::sweep::{footprint_rows, sweep_config, SweepDoc};
+use laperm_bench::Resilience;
 use sim_metrics::harness::SchedulerKind;
 use workloads::{suite, Scale, SharedSource, Workload};
 
@@ -34,6 +35,18 @@ fn launched(w: &Arc<dyn Workload>, engine: EngineMode, profile: bool) -> Simulat
         sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
     }
     sim
+}
+
+/// The tiny-scale document with engine introspection and latency
+/// attribution on, as `repro profile` sweeps it.
+fn profiled_tiny_doc() -> SweepDoc {
+    let all = suite(Scale::Tiny);
+    let cfg = sweep_config(EngineMode::Event, true);
+    let (mut doc, _) =
+        SweepDoc::build_matrix(Scale::Tiny, 0, 2, &cfg, &all, &Resilience::default())
+            .expect("profiled sweep");
+    doc.footprints = footprint_rows(&all, 2);
+    doc
 }
 
 fn run(w: &Arc<dyn Workload>, engine: EngineMode, profile: bool) -> SimStats {
@@ -152,7 +165,7 @@ fn unprofiled_documents_have_no_engine_key() {
     assert!(!json.contains("\"engine\""), "unprofiled repro.json must not mention the engine");
     assert!(!json.contains("host_ns"), "wall-clock time must never reach repro.json");
 
-    let profiled = SweepDoc::build_profiled(Scale::Tiny, 0, 2, EngineMode::Event);
+    let profiled = profiled_tiny_doc();
     let profiled_json = profiled.to_json();
     assert!(profiled_json.contains("\"engine\""));
     assert!(!profiled_json.contains("host_ns"));
@@ -185,7 +198,7 @@ fn unprofiled_documents_have_no_engine_key() {
 /// reproduces the exact byte stream, engine objects included.
 #[test]
 fn profiled_document_roundtrips_byte_exactly() {
-    let doc = SweepDoc::build_profiled(Scale::Tiny, 0, 2, EngineMode::Event);
+    let doc = profiled_tiny_doc();
     let json = doc.to_json();
     let parsed = SweepDoc::from_json(&json).expect("parse profiled document");
     assert_eq!(parsed.to_json(), json);

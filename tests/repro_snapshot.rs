@@ -12,27 +12,55 @@
 //!  --json /tmp/repro.json > tests/golden/repro_ci.txt`
 //! and review the diff like any other code change.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use gpu_sim::config::EngineMode;
-use laperm_bench::sweep::footprint_analyses;
+use laperm_bench::sweep::{footprint_analyses, sweep_config, FootprintRow};
 use laperm_bench::{
-    default_jobs, evaluate_shapes, full_report, MatrixRecords, ProgramPath, SweepDoc,
+    default_jobs, evaluate_shapes, full_report, MatrixRecords, ProgramPath, Resilience, SweepDoc,
 };
-use workloads::{suite, Scale};
+use sim_metrics::FootprintAnalysis;
+use workloads::{suite, Scale, Workload};
+
+/// A suite and its Figure 2 footprint analyses.
+type AnalyzedSuite = (Vec<Arc<dyn Workload>>, Vec<FootprintAnalysis>);
+
+/// The ci suite and its footprint analyses, built once and read by
+/// every test and document here, as `repro` builds its suite once per
+/// run.
+fn ci_suite() -> &'static AnalyzedSuite {
+    static SUITE: OnceLock<AnalyzedSuite> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        let all = suite(Scale::Ci);
+        let footprints = footprint_analyses(&all, default_jobs());
+        (all, footprints)
+    })
+}
+
+/// The full ci-scale document over [`ci_suite`], swept as `repro all`
+/// (`profiled == false`) or `repro profile` (`true`) sweeps it.
+fn ci_sweep(profiled: bool) -> SweepDoc {
+    let (all, footprints) = ci_suite();
+    let cfg = sweep_config(EngineMode::Event, profiled);
+    let (mut doc, _) =
+        SweepDoc::build_matrix(Scale::Ci, 0, default_jobs(), &cfg, all, &Resilience::default())
+            .expect("ci sweep setup");
+    doc.footprints = footprints.iter().map(FootprintRow::from).collect();
+    doc
+}
 
 /// The ci-scale document, built once and shared by the plain-sweep
 /// tests here (each build is a full ci-scale sweep).
 fn ci_doc() -> &'static SweepDoc {
     static DOC: OnceLock<SweepDoc> = OnceLock::new();
-    DOC.get_or_init(|| SweepDoc::build(Scale::Ci, 0, default_jobs()))
+    DOC.get_or_init(|| ci_sweep(false))
 }
 
 /// The profiled ci-scale document, shared by the profile and latency
 /// tests.
 fn ci_profiled_doc() -> &'static SweepDoc {
     static DOC: OnceLock<SweepDoc> = OnceLock::new();
-    DOC.get_or_init(|| SweepDoc::build_profiled(Scale::Ci, 0, default_jobs(), EngineMode::Event))
+    DOC.get_or_init(|| ci_sweep(true))
 }
 
 #[test]
@@ -42,10 +70,9 @@ fn ci_scale_report_matches_golden() {
     let doc = ci_doc();
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
     let m = MatrixRecords::from_records(doc.records.clone());
-    let all = suite(Scale::Ci);
-    let footprints = footprint_analyses(&all, default_jobs());
+    let (all, footprints) = ci_suite();
     let current =
-        full_report(Scale::Ci, ProgramPath::Generator, &all, default_jobs(), &m, &footprints);
+        full_report(Scale::Ci, ProgramPath::Generator, all, default_jobs(), &m, footprints);
     assert_eq!(
         current, golden,
         "ci-scale reproduction report drifted from tests/golden/repro_ci.txt"
@@ -107,7 +134,7 @@ fn ci_scale_latency_matches_golden() {
     assert!(failed.is_empty(), "shape assertions failed on profiled doc:\n{}", failed.join("\n"));
 
     let m = MatrixRecords::from_records(doc.records.clone());
-    let current = laperm_bench::latency_report(Scale::Ci, &suite(Scale::Ci), default_jobs(), &m);
+    let current = laperm_bench::latency_report(Scale::Ci, &ci_suite().0, default_jobs(), &m);
     assert_eq!(
         current, golden,
         "ci-scale latency report drifted from tests/golden/repro_latency_ci.txt"
