@@ -9,7 +9,8 @@
 //! temporally-close sharers (LaPerm's prioritized children) cheaper than
 //! far-apart ones.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::cache::{AccessClass, Cache, CacheStats, Lineage, ProbeResult};
@@ -47,6 +48,63 @@ impl Hasher for LineHasher {
 
 type LineMap = HashMap<LineAddr, Cycle, BuildHasherDefault<LineHasher>>;
 
+/// The MSHR file: in-flight L2 fills, line → cycle the data arrives.
+///
+/// A min-heap of `(fill cycle, line)` orders the entries by expiry, so
+/// freeing the fills that have landed pops just those instead of
+/// sweeping the whole file. The heap may hold stale items (an entry
+/// dropped by [`pending`](Self::pending), or re-allocated with a new
+/// fill cycle); an item only counts while the map holds its exact
+/// `(line, fill)`.
+#[derive(Debug, Default)]
+struct Mshrs {
+    map: LineMap,
+    by_fill: BinaryHeap<Reverse<(Cycle, LineAddr)>>,
+}
+
+impl Mshrs {
+    /// The fill cycle of `line` if its fill lands after `ready_at`, the
+    /// cycle the access would otherwise have its data. An entry whose
+    /// fill has landed by then is dropped.
+    fn pending(&mut self, line: LineAddr, ready_at: Cycle) -> Option<Cycle> {
+        let fill_at = *self.map.get(&line)?;
+        if fill_at > ready_at {
+            return Some(fill_at);
+        }
+        self.map.remove(&line);
+        None
+    }
+
+    /// Tracks the fill of `line` (not [`pending`](Self::pending)),
+    /// landing at `fill_at`, issued at `now`. A full file first frees
+    /// every entry whose fill has landed by `now`; returns `false` if it
+    /// is still full, and the fill goes untracked.
+    fn allocate(&mut self, line: LineAddr, fill_at: Cycle, now: Cycle) -> bool {
+        if self.map.len() >= MSHR_ENTRIES {
+            while let Some(&Reverse((t, l))) = self.by_fill.peek() {
+                if t > now {
+                    break;
+                }
+                self.by_fill.pop();
+                if self.map.get(&l) == Some(&t) {
+                    self.map.remove(&l);
+                }
+            }
+            if self.map.len() >= MSHR_ENTRIES {
+                return false;
+            }
+        }
+        self.map.insert(line, fill_at);
+        self.by_fill.push(Reverse((fill_at, line)));
+        // Stale items pile up while the file never fills; rebuilding
+        // from the live entries bounds the heap at a few files' worth.
+        if self.by_fill.len() > 4 * MSHR_ENTRIES {
+            self.by_fill = self.map.iter().map(|(&l, &t)| Reverse((t, l))).collect();
+        }
+        true
+    }
+}
+
 /// The full memory system below the SMX load/store units.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -54,7 +112,7 @@ pub struct MemorySystem {
     l2: Cache,
     dram: Dram,
     /// In-flight L2 fills: line → cycle the data arrives.
-    outstanding: LineMap,
+    outstanding: Mshrs,
     l1_hit_latency: u32,
     l2_hit_latency: u32,
     transaction_issue_cycles: u32,
@@ -72,7 +130,7 @@ impl MemorySystem {
                 .collect(),
             l2: Cache::new(cfg.l2_bytes, cfg.l2_assoc, cfg.line_bytes),
             dram: Dram::new(cfg.dram_channels, cfg.dram_latency, cfg.dram_service_cycles),
-            outstanding: LineMap::default(),
+            outstanding: Mshrs::default(),
             l1_hit_latency: cfg.l1_hit_latency,
             l2_hit_latency: cfg.l2_hit_latency,
             transaction_issue_cycles: cfg.transaction_issue_cycles,
@@ -154,28 +212,17 @@ impl MemorySystem {
         // The tag store fills atomically at miss time, so a "hit" may be
         // on a line whose data is still in flight: both hits and misses
         // consult the MSHR file and wait for (merge with) a pending fill.
-        if let Some(&fill_at) = self.outstanding.get(&line) {
-            if fill_at > now + base {
-                self.mshr_merges += 1;
-                return fill_at - now;
-            }
-            self.outstanding.remove(&line);
+        if let Some(fill_at) = self.outstanding.pending(line, now + base) {
+            self.mshr_merges += 1;
+            return fill_at - now;
         }
         if l2_result == ProbeResult::Hit {
             return base;
         }
 
         let dram_latency = self.dram.access(line, now + base);
-        let fill_at = now + base + dram_latency;
-        if self.outstanding.len() >= MSHR_ENTRIES {
-            self.outstanding.retain(|_, &mut t| t > now);
-            if self.outstanding.len() >= MSHR_ENTRIES {
-                self.mshr_full_events += 1;
-            } else {
-                self.outstanding.insert(line, fill_at);
-            }
-        } else {
-            self.outstanding.insert(line, fill_at);
+        if !self.outstanding.allocate(line, now + base + dram_latency, now) {
+            self.mshr_full_events += 1;
         }
         base + dram_latency
     }
@@ -398,6 +445,139 @@ mod tests {
         assert_eq!(m.dram_accesses(), 1);
         access(&mut m, SmxId(1), &[5], false, AccessClass::Parent, 10_000);
         assert_eq!(m.dram_accesses(), 1);
+    }
+
+    /// The reference MSHR file: a full file sweeps every entry with
+    /// `retain`, which is obviously "free every landed fill".
+    #[derive(Default)]
+    struct RetainMshrs(LineMap);
+
+    fn sorted(map: &LineMap) -> Vec<(LineAddr, Cycle)> {
+        let mut e: Vec<_> = map.iter().map(|(&l, &t)| (l, t)).collect();
+        e.sort_unstable();
+        e
+    }
+
+    trait MshrFile {
+        fn pending(&mut self, line: LineAddr, ready_at: Cycle) -> Option<Cycle>;
+        fn allocate(&mut self, line: LineAddr, fill_at: Cycle, now: Cycle) -> bool;
+        fn entries(&self) -> Vec<(LineAddr, Cycle)>;
+    }
+
+    impl MshrFile for RetainMshrs {
+        fn pending(&mut self, line: LineAddr, ready_at: Cycle) -> Option<Cycle> {
+            let fill_at = *self.0.get(&line)?;
+            if fill_at > ready_at {
+                return Some(fill_at);
+            }
+            self.0.remove(&line);
+            None
+        }
+
+        fn allocate(&mut self, line: LineAddr, fill_at: Cycle, now: Cycle) -> bool {
+            if self.0.len() >= MSHR_ENTRIES {
+                self.0.retain(|_, &mut t| t > now);
+                if self.0.len() >= MSHR_ENTRIES {
+                    return false;
+                }
+            }
+            self.0.insert(line, fill_at);
+            true
+        }
+
+        fn entries(&self) -> Vec<(LineAddr, Cycle)> {
+            sorted(&self.0)
+        }
+    }
+
+    impl MshrFile for Mshrs {
+        fn pending(&mut self, line: LineAddr, ready_at: Cycle) -> Option<Cycle> {
+            Mshrs::pending(self, line, ready_at)
+        }
+
+        fn allocate(&mut self, line: LineAddr, fill_at: Cycle, now: Cycle) -> bool {
+            Mshrs::allocate(self, line, fill_at, now)
+        }
+
+        fn entries(&self) -> Vec<(LineAddr, Cycle)> {
+            sorted(&self.map)
+        }
+    }
+
+    /// One L2-level access as `line_access` drives the MSHR file:
+    /// `(latency, merged, found the file full)`.
+    fn mshr_step(
+        file: &mut impl MshrFile,
+        line: LineAddr,
+        now: Cycle,
+        base: u64,
+        l2_hit: bool,
+        dram_latency: u64,
+    ) -> (u64, bool, bool) {
+        if let Some(fill_at) = file.pending(line, now + base) {
+            return (fill_at - now, true, false);
+        }
+        if l2_hit {
+            return (base, false, false);
+        }
+        let full = !file.allocate(line, now + base + dram_latency, now);
+        (base + dram_latency, false, full)
+    }
+
+    #[test]
+    fn expiry_heap_matches_retain_sweep_on_random_streams() {
+        // Streams alternate quiet phases (one access every 1-4 cycles)
+        // and busy ones (`per_cycle` accesses a cycle) against fills of
+        // up to 3000 cycles: busy phases keep the 1024-entry file full,
+        // quiet ones let it drain. On 256 lines the file never fills,
+        // and re-touched lines leave stale heap items until the heap is
+        // rebuilt. `jitter` lets `now` step back by up to that many
+        // cycles.
+        let (mut merges, mut full, mut heap_peak) = (0u64, 0u64, 0usize);
+        for (seed, lines, per_cycle, jitter) in [
+            (1u64, 1 << 16, 1u64, 0u64),
+            (2, 3000, 2, 0),
+            (3, 1 << 20, 3, 40),
+            (4, 1 << 12, 2, 0),
+            (5, 256, 2, 0),
+        ] {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |bound: u64| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                state.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound
+            };
+            let (mut heap, mut sweep) = (Mshrs::default(), RetainMshrs::default());
+            let mut clock = 1_000u64;
+            for i in 0..40_000 {
+                clock += if (i / 10_000) % 2 == 0 {
+                    1 + next(4)
+                } else {
+                    u64::from(next(per_cycle) == 0)
+                };
+                let now = clock - next(jitter + 1);
+                let line = next(lines);
+                let base = 20 + next(40);
+                let l2_hit = next(10) < 3;
+                let dram = 200 + next(2_800);
+                let got = mshr_step(&mut heap, line, now, base, l2_hit, dram);
+                let want = mshr_step(&mut sweep, line, now, base, l2_hit, dram);
+                assert_eq!(got, want, "seed {seed}, access {i}");
+                merges += u64::from(got.1);
+                full += u64::from(got.2);
+                heap_peak = heap_peak.max(heap.by_fill.len());
+                if i % 97 == 0 {
+                    assert_eq!(heap.entries(), sweep.entries(), "seed {seed}, access {i}");
+                }
+            }
+            assert_eq!(heap.entries(), sweep.entries(), "seed {seed}");
+        }
+        assert!(merges > 0 && full > 0, "{merges} merges, {full} full events");
+        assert!(
+            (2 * MSHR_ENTRIES..=4 * MSHR_ENTRIES).contains(&heap_peak),
+            "heap peaked at {heap_peak} items: stale items never built up, or went unbounded"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use crate::kernel::ResourceReq;
-use crate::types::Addr;
+use crate::types::{Addr, LineAddr};
 
 /// Identifies a kernel *kind* — one of the distinct kernel functions a
 /// workload defines (e.g. "BFS parent sweep" vs "BFS child expand").
@@ -62,11 +62,10 @@ impl AddrPattern {
     /// instruction instead of building a fresh `Vec`.
     pub fn warp_addrs_into(&self, warp: u32, warp_size: u32, threads: u32, out: &mut Vec<Addr>) {
         out.clear();
-        let first = warp * warp_size;
-        if first >= threads {
+        let (first, count) = warp_threads(warp, warp_size, threads);
+        if count == 0 {
             return;
         }
-        let count = warp_size.min(threads - first);
         match self {
             AddrPattern::Strided { base, stride } => {
                 out.extend((0..count).map(|l| base + u64::from(first + l) * u64::from(*stride)));
@@ -84,7 +83,9 @@ impl AddrPattern {
         }
     }
 
-    /// Iterates over every address the whole TB touches (all threads).
+    /// Every address the whole TB touches (all threads). Kept as the
+    /// per-thread oracle the line derivation ([`lines_into`](Self::lines_into))
+    /// is tested against.
     pub fn tb_addrs(&self, threads: u32) -> Vec<Addr> {
         match self {
             AddrPattern::Strided { base, stride } => {
@@ -94,6 +95,53 @@ impl AddrPattern {
             AddrPattern::Broadcast(a) => vec![*a; threads.min(1) as usize],
         }
     }
+
+    /// Appends the `1 << line_bits`-byte cache lines that threads
+    /// `first .. first + count` touch, derived from the pattern without
+    /// listing per-thread addresses:
+    ///
+    /// * `Strided` with a stride of at most one line touches every line
+    ///   from its first thread's to its last thread's, ascending;
+    /// * `Strided` with a larger stride touches one line per thread,
+    ///   ascending;
+    /// * `Broadcast` touches one line;
+    /// * `Gather` touches one line per address in range, in thread
+    ///   order, repeats included.
+    ///
+    /// So a `Strided` or `Broadcast` result has no repeats and is in
+    /// first-touch order, exactly `coalesce(addrs)`; a `Gather` result
+    /// needs deduplication to be a line set. As in
+    /// [`warp_addrs`](Self::warp_addrs), a strided address must not
+    /// overflow `u64`.
+    pub fn lines_into(&self, first: u32, count: u32, line_bits: u32, out: &mut Vec<LineAddr>) {
+        if count == 0 {
+            return;
+        }
+        match self {
+            AddrPattern::Strided { base, stride } => {
+                let stride = u64::from(*stride);
+                let addr = |t: u32| base + u64::from(t) * stride;
+                if stride <= 1 << line_bits {
+                    out.extend(addr(first) >> line_bits..=addr(first + count - 1) >> line_bits);
+                } else {
+                    out.extend((first..first + count).map(|t| addr(t) >> line_bits));
+                }
+            }
+            AddrPattern::Gather(addrs) => {
+                let lo = (first as usize).min(addrs.len());
+                let hi = (first as usize).saturating_add(count as usize).min(addrs.len());
+                out.extend(addrs[lo..hi].iter().map(|a| a >> line_bits));
+            }
+            AddrPattern::Broadcast(a) => out.push(a >> line_bits),
+        }
+    }
+}
+
+/// The threads of warp `warp` in a TB of `threads` threads, as
+/// `(first, count)`; `count` is 0 for a warp past the TB's end.
+pub(crate) fn warp_threads(warp: u32, warp_size: u32, threads: u32) -> (u32, u32) {
+    let first = warp * warp_size;
+    (first, warp_size.min(threads.saturating_sub(first)))
 }
 
 /// A warp-level memory instruction.
@@ -338,6 +386,78 @@ mod tests {
         let addrs = p.tb_addrs(100);
         assert_eq!(addrs.len(), 100);
         assert_eq!(addrs[99], 99 * 8);
+    }
+
+    /// What `lines_into` must return for `addrs`, the addresses of the
+    /// same threads: a gather's lines one per address, anything else
+    /// coalesced (distinct lines in first-touch order).
+    fn oracle_lines(p: &AddrPattern, addrs: &[Addr], line_bits: u32) -> Vec<LineAddr> {
+        match p {
+            AddrPattern::Gather(_) => addrs.iter().map(|a| a >> line_bits).collect(),
+            _ => crate::coalesce::coalesce(addrs, line_bits),
+        }
+    }
+
+    /// Patterns around every case of the derivation for lines of
+    /// `1 << line_bits` bytes, drawn with `next`.
+    fn derivation_patterns(line_bits: u32, next: &mut impl FnMut(u64) -> u64) -> Vec<AddrPattern> {
+        let line = 1u32 << line_bits;
+        let mut out = Vec::new();
+        for stride in
+            [0, 1, 4, line - 1, line, line + 1, 3 * line, 1 + next(4 * u64::from(line)) as u32]
+        {
+            for base in [0, u64::from(line) - 4, next(1 << 20)] {
+                out.push(AddrPattern::Strided { base, stride });
+            }
+        }
+        // Gathers shorter than, as long as, and longer than the TBs
+        // below, with repeats and with lines out of order.
+        for len in [0, 3, 40, 64, 300] {
+            let span = 1 + next(16 * u64::from(line));
+            out.push(AddrPattern::Gather((0..len).map(|_| next(span)).collect()));
+        }
+        out.push(AddrPattern::Broadcast(next(1 << 20)));
+        // The last of 100 threads reads the top byte of the address space.
+        out.push(AddrPattern::Strided { base: u64::MAX - 99 * 4, stride: 4 });
+        out
+    }
+
+    #[test]
+    fn line_derivation_matches_the_per_thread_oracle() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound
+        };
+        for line_bits in [5, 7, 12] {
+            for p in derivation_patterns(line_bits, &mut next) {
+                for threads in [0, 1, 31, 32, 33, 64, 100] {
+                    // TB granularity: all threads, against `tb_addrs`;
+                    // the result is appended after what `out` holds.
+                    let mut out = vec![7];
+                    p.lines_into(0, threads, line_bits, &mut out);
+                    let want = oracle_lines(&p, &p.tb_addrs(threads), line_bits);
+                    assert_eq!(out[0], 7, "{p:?}: existing contents overwritten");
+                    assert_eq!(out[1..], want, "{p:?}, {threads} threads, line bits {line_bits}");
+                    // Warp granularity, against `warp_addrs`.
+                    for warp_size in [32, 8] {
+                        for w in 0..threads.div_ceil(warp_size) + 1 {
+                            let (first, count) = warp_threads(w, warp_size, threads);
+                            out.clear();
+                            p.lines_into(first, count, line_bits, &mut out);
+                            let addrs = p.warp_addrs(w, warp_size, threads);
+                            assert_eq!(
+                                out,
+                                oracle_lines(&p, &addrs, line_bits),
+                                "{p:?}, warp {w} of {warp_size} in {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,9 +53,18 @@ impl FootprintAnalysis {
     /// Runs the analysis on a workload.
     pub fn analyze(workload: &dyn Workload) -> Self {
         let mut parents: Vec<TbNode> = Vec::new();
+        let mut lines = Vec::new();
         for hk in workload.host_kernels() {
             for tb in 0..hk.num_tbs {
-                parents.push(expand(workload, hk.kind, hk.param, tb, hk.req.threads, 0));
+                parents.push(expand(
+                    workload,
+                    hk.kind,
+                    hk.param,
+                    tb,
+                    hk.req.threads,
+                    0,
+                    &mut lines,
+                ));
             }
         }
 
@@ -170,6 +179,9 @@ fn intersection_len(a: &[LineAddr], b: &[LineAddr]) -> usize {
     n
 }
 
+/// The node of TB `tb_index` of a `(kind, param)` batch and, below
+/// `MAX_DEPTH`, its launched subtree. `lines` is scratch space reused
+/// across every TB of the tree.
 fn expand(
     workload: &dyn Workload,
     kind: KernelKindId,
@@ -177,15 +189,16 @@ fn expand(
     tb_index: u32,
     threads: u32,
     depth: u32,
+    lines: &mut Vec<LineAddr>,
 ) -> TbNode {
     let program = workload.tb_program(kind, param, tb_index);
-    let mut lines: Vec<LineAddr> = program
-        .global_mem_ops()
-        .flat_map(|m| m.pattern.tb_addrs(threads))
-        .map(|a| a >> LINE_BITS)
-        .collect();
+    lines.clear();
+    for m in program.global_mem_ops() {
+        m.pattern.lines_into(0, threads, LINE_BITS, lines);
+    }
     lines.sort_unstable();
     lines.dedup();
+    let own: Box<[LineAddr]> = lines.as_slice().into();
     let mut children = Vec::new();
     if depth < MAX_DEPTH {
         for launch in program.launches() {
@@ -197,11 +210,12 @@ fn expand(
                     child_tb,
                     launch.req.threads,
                     depth + 1,
+                    lines,
                 ));
             }
         }
     }
-    TbNode { lines: lines.into_boxed_slice(), children }
+    TbNode { lines: own, children }
 }
 
 fn mean(xs: &[f64]) -> f64 {

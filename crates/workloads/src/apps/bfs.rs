@@ -5,10 +5,12 @@
 //! gives sibling TBs spatially close neighbor lists on clustered inputs —
 //! the effect Figure 2 of the paper measures across the three graphs).
 
+use std::sync::Arc;
+
 use gpu_sim::program::{KernelKindId, ProgramSource, TbProgram};
 
 use crate::apps::graph_common::{GraphApp, GraphFlavor};
-use crate::graph::GraphKind;
+use crate::graph::{Csr, GraphKind};
 use crate::{HostKernel, Scale, Workload};
 
 /// BFS on one of the three Table II graph inputs.
@@ -26,6 +28,11 @@ impl Bfs {
     /// Builds with an explicit input seed (for multi-sample experiments).
     pub fn new_seeded(kind: GraphKind, scale: Scale, seed: u64) -> Self {
         Bfs { app: GraphApp::new_seeded(GraphFlavor::Bfs, kind, scale, seed) }
+    }
+
+    /// Builds over a shared input graph (see [`GraphApp::with_graph`]).
+    pub(crate) fn with_graph(kind: GraphKind, scale: Scale, graph: Arc<Csr>) -> Self {
+        Bfs { app: GraphApp::with_graph(GraphFlavor::Bfs, kind, scale, graph) }
     }
 
     /// The underlying graph skeleton (for analysis).

@@ -3,10 +3,12 @@
 //! Heavy vertices launch child TB groups that read all neighbor colors
 //! cooperatively and then commit the vertex's own color.
 
+use std::sync::Arc;
+
 use gpu_sim::program::{KernelKindId, ProgramSource, TbProgram};
 
 use crate::apps::graph_common::{GraphApp, GraphFlavor};
-use crate::graph::GraphKind;
+use crate::graph::{Csr, GraphKind};
 use crate::{HostKernel, Scale, Workload};
 
 /// Graph coloring on one of the three Table II graph inputs.
@@ -24,6 +26,11 @@ impl Clr {
     /// Builds with an explicit input seed (for multi-sample experiments).
     pub fn new_seeded(kind: GraphKind, scale: Scale, seed: u64) -> Self {
         Clr { app: GraphApp::new_seeded(GraphFlavor::Clr, kind, scale, seed) }
+    }
+
+    /// Builds over a shared input graph (see [`GraphApp::with_graph`]).
+    pub(crate) fn with_graph(kind: GraphKind, scale: Scale, graph: Arc<Csr>) -> Self {
+        Clr { app: GraphApp::with_graph(GraphFlavor::Clr, kind, scale, graph) }
     }
 
     /// The underlying graph skeleton (for analysis).

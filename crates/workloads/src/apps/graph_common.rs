@@ -9,6 +9,8 @@
 //! the parent-generated data of Section III-A's temporal-locality
 //! pattern.
 
+use std::sync::Arc;
+
 use gpu_sim::kernel::ResourceReq;
 use gpu_sim::program::{KernelKindId, TbProgram};
 use gpu_sim::types::Addr;
@@ -57,12 +59,21 @@ impl GraphFlavor {
     }
 }
 
+/// Mean degree of the generated input graphs at a scale.
+fn avg_degree(scale: Scale) -> u32 {
+    match scale {
+        Scale::Tiny => 6,
+        Scale::Ci | Scale::Small => 8,
+        Scale::Paper => 10,
+    }
+}
+
 /// A graph benchmark instance: input graph plus memory layout.
 #[derive(Debug)]
 pub struct GraphApp {
     flavor: GraphFlavor,
     kind: GraphKind,
-    graph: Csr,
+    graph: Arc<Csr>,
     chunk: u32,
     child_threads: u32,
     heavy_threshold: u32,
@@ -89,15 +100,28 @@ impl GraphApp {
     /// Builds the benchmark with an explicit input seed (for
     /// multi-sample experiments).
     pub fn new_seeded(flavor: GraphFlavor, kind: GraphKind, scale: Scale, seed: u64) -> Self {
+        Self::with_graph(flavor, kind, scale, Arc::new(Self::input_graph(kind, scale, seed)))
+    }
+
+    /// The input graph of `kind` at `scale` with input seed `seed`. It
+    /// does not depend on the flavor, so BFS, CLR and SSSP over one
+    /// input can share a single graph ([`with_graph`](Self::with_graph)).
+    pub(crate) fn input_graph(kind: GraphKind, scale: Scale, seed: u64) -> Csr {
         let n = scale.items() * 8;
-        let avg_degree = match scale {
-            Scale::Tiny => 6,
-            Scale::Ci => 8,
-            Scale::Small => 8,
-            Scale::Paper => 10,
-        };
         let seed = seed ^ 0x1A9E_0000 ^ u64::from(n) ^ (kind.name().len() as u64) << 32;
-        let graph = kind.generate(n, avg_degree, seed);
+        kind.generate(n, avg_degree(scale), seed)
+    }
+
+    /// Builds the benchmark over `graph`, which must be
+    /// [`input_graph`](Self::input_graph)`(kind, scale, _)` for the
+    /// workload to be the one [`new_seeded`](Self::new_seeded) builds.
+    pub(crate) fn with_graph(
+        flavor: GraphFlavor,
+        kind: GraphKind,
+        scale: Scale,
+        graph: Arc<Csr>,
+    ) -> Self {
+        let n = graph.num_vertices();
         let mut layout = Layout::new();
         let m = u64::from(graph.num_edges());
         let row_offsets = layout.alloc(u64::from(n) + 1, 4);
@@ -112,7 +136,7 @@ impl GraphApp {
             graph,
             chunk: Self::CHUNK,
             child_threads: Self::CHILD_THREADS,
-            heavy_threshold: avg_degree * 2,
+            heavy_threshold: avg_degree(scale) * 2,
             row_offsets,
             col_indices,
             frontier,

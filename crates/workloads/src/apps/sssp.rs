@@ -4,10 +4,12 @@
 //! edge weight and performs a heavier relaxation, roughly doubling the
 //! per-child memory footprint.
 
+use std::sync::Arc;
+
 use gpu_sim::program::{KernelKindId, ProgramSource, TbProgram};
 
 use crate::apps::graph_common::{GraphApp, GraphFlavor};
-use crate::graph::GraphKind;
+use crate::graph::{Csr, GraphKind};
 use crate::{HostKernel, Scale, Workload};
 
 /// SSSP on one of the three Table II graph inputs.
@@ -25,6 +27,11 @@ impl Sssp {
     /// Builds with an explicit input seed (for multi-sample experiments).
     pub fn new_seeded(kind: GraphKind, scale: Scale, seed: u64) -> Self {
         Sssp { app: GraphApp::new_seeded(GraphFlavor::Sssp, kind, scale, seed) }
+    }
+
+    /// Builds over a shared input graph (see [`GraphApp::with_graph`]).
+    pub(crate) fn with_graph(kind: GraphKind, scale: Scale, graph: Arc<Csr>) -> Self {
+        Sssp { app: GraphApp::with_graph(GraphFlavor::Sssp, kind, scale, graph) }
     }
 
     /// The underlying graph skeleton (for analysis).

@@ -190,17 +190,20 @@ pub fn suite(scale: Scale) -> Vec<Arc<dyn Workload>> {
 
 /// [`suite`] with an explicit input seed, for multi-sample experiments
 /// (seed 0 is the canonical instance used throughout the repository).
+/// Each graph input is generated once and shared by BFS, CLR and SSSP.
 pub fn suite_seeded(scale: Scale, seed: u64) -> Vec<Arc<dyn Workload>> {
-    use crate::graph::GraphKind;
+    let (mut bfs, mut clr, mut sssp) = (Vec::new(), Vec::new(), Vec::new());
+    for kind in graph::GraphKind::all() {
+        let (b, c, s) = graph_apps(kind, scale, seed);
+        bfs.push(Arc::new(b) as Arc<dyn Workload>);
+        clr.push(Arc::new(c) as Arc<dyn Workload>);
+        sssp.push(Arc::new(s) as Arc<dyn Workload>);
+    }
     let mut out: Vec<Arc<dyn Workload>> = Vec::new();
     out.push(Arc::new(apps::amr::Amr::new_seeded(scale, seed)));
     out.push(Arc::new(apps::bht::Bht::new_seeded(scale, seed)));
-    for kind in GraphKind::all() {
-        out.push(Arc::new(apps::bfs::Bfs::new_seeded(kind, scale, seed)));
-    }
-    for kind in GraphKind::all() {
-        out.push(Arc::new(apps::clr::Clr::new_seeded(kind, scale, seed)));
-    }
+    out.extend(bfs);
+    out.extend(clr);
     for input in apps::regx::RegxInput::all() {
         out.push(Arc::new(apps::regx::Regx::new_seeded(input, scale, seed)));
     }
@@ -208,10 +211,23 @@ pub fn suite_seeded(scale: Scale, seed: u64) -> Vec<Arc<dyn Workload>> {
     for input in apps::join::JoinInput::all() {
         out.push(Arc::new(apps::join::Join::new_seeded(input, scale, seed)));
     }
-    for kind in GraphKind::all() {
-        out.push(Arc::new(apps::sssp::Sssp::new_seeded(kind, scale, seed)));
-    }
+    out.extend(sssp);
     out
+}
+
+/// BFS, CLR and SSSP over the input `kind`, sharing one generated graph;
+/// each equals its own `new_seeded(kind, scale, seed)`.
+fn graph_apps(
+    kind: graph::GraphKind,
+    scale: Scale,
+    seed: u64,
+) -> (apps::bfs::Bfs, apps::clr::Clr, apps::sssp::Sssp) {
+    let graph = Arc::new(apps::graph_common::GraphApp::input_graph(kind, scale, seed));
+    (
+        apps::bfs::Bfs::with_graph(kind, scale, graph.clone()),
+        apps::clr::Clr::with_graph(kind, scale, graph.clone()),
+        apps::sssp::Sssp::with_graph(kind, scale, graph),
+    )
 }
 
 #[cfg(test)]
@@ -279,6 +295,23 @@ mod tests {
             a[2].tb_program(hk.kind, hk.param, tb) != b[2].tb_program(hk.kind, hk.param, tb)
         });
         assert!(differs, "seeds must change the generated inputs");
+    }
+
+    #[test]
+    fn graph_apps_of_one_input_share_its_graph() {
+        use crate::apps::{bfs::Bfs, clr::Clr, sssp::Sssp};
+        for kind in graph::GraphKind::all() {
+            let (bfs, clr, sssp) = graph_apps(kind, Scale::Tiny, 3);
+            let graph = bfs.app().graph();
+            assert!(std::ptr::eq(graph, clr.app().graph()), "{kind:?}: clr has its own graph");
+            assert!(std::ptr::eq(graph, sssp.app().graph()), "{kind:?}: sssp has its own graph");
+            let alone = Bfs::new_seeded(kind, Scale::Tiny, 3);
+            assert_eq!(graph, alone.app().graph(), "{kind:?}: shared graph differs");
+            // The DSL port spells out the whole workload, graph included.
+            assert_eq!(bfs.dsl_text(), alone.dsl_text());
+            assert_eq!(clr.dsl_text(), Clr::new_seeded(kind, Scale::Tiny, 3).dsl_text());
+            assert_eq!(sssp.dsl_text(), Sssp::new_seeded(kind, Scale::Tiny, 3).dsl_text());
+        }
     }
 
     #[test]
