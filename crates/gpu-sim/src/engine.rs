@@ -627,9 +627,13 @@ impl Simulator {
     }
 
     /// Stage 3: the SMX scheduler dispatches at most one TB. The
-    /// scheduler's `pick` runs (and may mutate its cost counters) on
-    /// every cycle with undispatched TBs, so the event engine may not
-    /// skip such a cycle.
+    /// scheduler's `pick` runs on every cycle with undispatched TBs, so
+    /// the event engine may not skip such a cycle: a pick that returns
+    /// nothing can still move scheduler state. SmxBind and AdaptiveBind
+    /// advance their cursor by one SMX per pick, AdaptiveBind's stage 3
+    /// may adopt a backup queue set, and queue lookups pop exhausted
+    /// entries lazily. (Its cost counter, `queue_search_cycles`, counts
+    /// on push only.)
     fn stage_tb_dispatch(&mut self, now: Cycle) -> Result<(), SimError> {
         if self.undispatched > 0 {
             self.prune_sched_list();
@@ -795,7 +799,8 @@ impl Simulator {
 
     /// Advances `cycle` to the next cycle on which any stage can act:
     /// the earliest of TB dispatch (every cycle while TBs await
-    /// dispatch), KMU→KDU dispatch (every cycle the queue is open with
+    /// dispatch, because even an empty `pick` moves scheduler state; see
+    /// `stage_tb_dispatch`), KMU→KDU dispatch (every cycle the queue is open with
     /// a free entry — the scheduler's `kmu_pick` may mutate counters
     /// even when it declines), held-back launch-path work, launch-model
     /// maturity, and the SMX wake heap. With no event pending on a

@@ -1,6 +1,7 @@
 //! Tokenizer for the workload DSL.
 //!
-//! The lexer is a single forward pass producing a `Vec<Token>`; `#`
+//! [`Lexer`] scans one token per call, so the parser holds only its
+//! lookahead and a large `data` array never exists as a token list; `#`
 //! starts a comment running to end of line. Integer literals are
 //! decimal `u64`. Identifiers and keywords share one token kind — the
 //! parser decides which identifiers are reserved, so the token stream
@@ -133,100 +134,94 @@ impl TokenKind {
     }
 }
 
-/// Tokenizes `src`.
-///
-/// # Errors
-///
-/// Reports the first unexpected character or an integer literal that
-/// overflows `u64`, with its position.
-pub fn lex(src: &str) -> Result<Vec<Token>, DslError> {
-    let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
-    macro_rules! push {
-        ($kind:expr, $len:expr) => {{
-            tokens.push(Token { kind: $kind, pos: Pos { line, col } });
-            i += $len;
-            col += $len as u32;
-        }};
+/// A streaming tokenizer over one source text: each
+/// [`next_token`](Lexer::next_token) call scans and returns one token,
+/// so no caller ever holds more tokens than it asked for.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    bytes: &'a [u8],
+    i: usize,
+    line: u32,
+    col: u32,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer positioned at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Lexer { bytes: src.as_bytes(), i: 0, line: 1, col: 1 }
     }
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            b'\n' => {
-                i += 1;
-                line += 1;
-                col = 1;
-            }
-            b' ' | b'\t' | b'\r' => {
-                i += 1;
-                col += 1;
-            }
-            b'#' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+
+    /// Scans the next token. At the end of input it returns `Eof`, and
+    /// keeps returning `Eof` on every later call; after an error the
+    /// input counts as ended.
+    ///
+    /// # Errors
+    ///
+    /// Reports an unexpected character, an unterminated string, or an
+    /// integer literal that overflows `u64`, with its position.
+    pub fn next_token(&mut self) -> Result<Token, DslError> {
+        let token = self.scan();
+        if token.is_err() {
+            self.i = self.bytes.len();
+        }
+        token
+    }
+
+    fn scan(&mut self) -> Result<Token, DslError> {
+        let bytes = self.bytes;
+        while let Some(&c) = bytes.get(self.i) {
+            match c {
+                b'\n' => {
+                    self.i += 1;
+                    self.line += 1;
+                    self.col = 1;
                 }
-            }
-            b'(' => push!(TokenKind::LParen, 1),
-            b')' => push!(TokenKind::RParen, 1),
-            b'{' => push!(TokenKind::LBrace, 1),
-            b'}' => push!(TokenKind::RBrace, 1),
-            b'[' => push!(TokenKind::LBracket, 1),
-            b']' => push!(TokenKind::RBracket, 1),
-            b',' => push!(TokenKind::Comma, 1),
-            b';' => push!(TokenKind::Semi, 1),
-            b'+' => push!(TokenKind::Plus, 1),
-            b'-' => push!(TokenKind::Minus, 1),
-            b'*' => push!(TokenKind::Star, 1),
-            b'/' => push!(TokenKind::Slash, 1),
-            b'%' => push!(TokenKind::Percent, 1),
-            b'.' => {
-                if bytes.get(i + 1) == Some(&b'.') {
-                    push!(TokenKind::DotDot, 2);
-                } else {
-                    return Err(unexpected(line, col, '.'));
+                b' ' | b'\t' | b'\r' => {
+                    self.i += 1;
+                    self.col += 1;
                 }
-            }
-            b'=' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    push!(TokenKind::EqEq, 2);
-                } else {
-                    push!(TokenKind::Assign, 1);
+                b'#' => {
+                    while self.i < bytes.len() && bytes[self.i] != b'\n' {
+                        self.i += 1;
+                    }
                 }
+                _ => break,
             }
-            b'!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    push!(TokenKind::Ne, 2);
-                } else {
-                    push!(TokenKind::Bang, 1);
-                }
-            }
-            b'<' => match bytes.get(i + 1) {
-                Some(&b'<') => push!(TokenKind::Shl, 2),
-                Some(&b'=') => push!(TokenKind::Le, 2),
-                _ => push!(TokenKind::Lt, 1),
-            },
-            b'>' => match bytes.get(i + 1) {
-                Some(&b'>') => push!(TokenKind::Shr, 2),
-                Some(&b'=') => push!(TokenKind::Ge, 2),
-                _ => push!(TokenKind::Gt, 1),
-            },
-            b'&' => {
-                if bytes.get(i + 1) == Some(&b'&') {
-                    push!(TokenKind::AmpAmp, 2);
-                } else {
-                    push!(TokenKind::Amp, 1);
-                }
-            }
-            b'|' => {
-                if bytes.get(i + 1) == Some(&b'|') {
-                    push!(TokenKind::PipePipe, 2);
-                } else {
-                    push!(TokenKind::Pipe, 1);
-                }
-            }
+        }
+        let i = self.i;
+        let Some(&c) = bytes.get(i) else {
+            return Ok(Token { kind: TokenKind::Eof, pos: self.pos() });
+        };
+        let second = bytes.get(i + 1).copied();
+        let (kind, len) = match c {
+            b'(' => (TokenKind::LParen, 1),
+            b')' => (TokenKind::RParen, 1),
+            b'{' => (TokenKind::LBrace, 1),
+            b'}' => (TokenKind::RBrace, 1),
+            b'[' => (TokenKind::LBracket, 1),
+            b']' => (TokenKind::RBracket, 1),
+            b',' => (TokenKind::Comma, 1),
+            b';' => (TokenKind::Semi, 1),
+            b'+' => (TokenKind::Plus, 1),
+            b'-' => (TokenKind::Minus, 1),
+            b'*' => (TokenKind::Star, 1),
+            b'/' => (TokenKind::Slash, 1),
+            b'%' => (TokenKind::Percent, 1),
+            b'.' if second == Some(b'.') => (TokenKind::DotDot, 2),
+            b'=' if second == Some(b'=') => (TokenKind::EqEq, 2),
+            b'=' => (TokenKind::Assign, 1),
+            b'!' if second == Some(b'=') => (TokenKind::Ne, 2),
+            b'!' => (TokenKind::Bang, 1),
+            b'<' if second == Some(b'<') => (TokenKind::Shl, 2),
+            b'<' if second == Some(b'=') => (TokenKind::Le, 2),
+            b'<' => (TokenKind::Lt, 1),
+            b'>' if second == Some(b'>') => (TokenKind::Shr, 2),
+            b'>' if second == Some(b'=') => (TokenKind::Ge, 2),
+            b'>' => (TokenKind::Gt, 1),
+            b'&' if second == Some(b'&') => (TokenKind::AmpAmp, 2),
+            b'&' => (TokenKind::Amp, 1),
+            b'|' if second == Some(b'|') => (TokenKind::PipePipe, 2),
+            b'|' => (TokenKind::Pipe, 1),
             b'"' => {
                 let start = i + 1;
                 let mut end = start;
@@ -234,55 +229,66 @@ pub fn lex(src: &str) -> Result<Vec<Token>, DslError> {
                     end += 1;
                 }
                 if end >= bytes.len() || bytes[end] != b'"' {
-                    return Err(DslError::Lex {
-                        pos: Pos { line, col },
-                        message: "unterminated string literal".to_string(),
-                    });
+                    return Err(self.error("unterminated string literal".to_string()));
                 }
                 let s = String::from_utf8_lossy(&bytes[start..end]).into_owned();
-                let len = end + 1 - i;
-                push!(TokenKind::Str(s), len);
+                (TokenKind::Str(s), end + 1 - i)
             }
             b'0'..=b'9' => {
-                let start = i;
-                let mut end = i;
-                while end < bytes.len() && bytes[end].is_ascii_digit() {
-                    end += 1;
-                }
-                let text = std::str::from_utf8(&bytes[start..end]).unwrap_or("");
-                let value: u64 = text.parse().map_err(|_| DslError::Lex {
-                    pos: Pos { line, col },
-                    message: format!("integer literal '{text}' does not fit in u64"),
+                let end = self.run_end(u8::is_ascii_digit);
+                let text = std::str::from_utf8(&bytes[i..end]).unwrap_or("");
+                let value: u64 = text.parse().map_err(|_| {
+                    self.error(format!("integer literal '{text}' does not fit in u64"))
                 })?;
-                let len = end - start;
-                push!(TokenKind::Int(value), len);
+                (TokenKind::Int(value), end - i)
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                let start = i;
-                let mut end = i;
-                while end < bytes.len()
-                    && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_')
-                {
-                    end += 1;
-                }
-                let s = String::from_utf8_lossy(&bytes[start..end]).into_owned();
-                let len = end - start;
-                push!(TokenKind::Ident(s), len);
+                let end = self.run_end(|b| b.is_ascii_alphanumeric() || *b == b'_');
+                let s = String::from_utf8_lossy(&bytes[i..end]).into_owned();
+                (TokenKind::Ident(s), end - i)
             }
-            other => return Err(unexpected(line, col, other as char)),
-        }
+            other => return Err(self.error(format!("unexpected character '{}'", other as char))),
+        };
+        let token = Token { kind, pos: self.pos() };
+        self.i += len;
+        self.col += len as u32;
+        Ok(token)
     }
-    tokens.push(Token { kind: TokenKind::Eof, pos: Pos { line, col } });
-    Ok(tokens)
-}
 
-fn unexpected(line: u32, col: u32, c: char) -> DslError {
-    DslError::Lex { pos: Pos { line, col }, message: format!("unexpected character '{c}'") }
+    /// End of the run of bytes matching `class` that starts at the
+    /// current byte.
+    fn run_end(&self, class: impl Fn(&u8) -> bool) -> usize {
+        self.bytes[self.i..].iter().position(|b| !class(b)).map_or(self.bytes.len(), |n| self.i + n)
+    }
+
+    /// The position the lexer has reached; after an error, the error's
+    /// position.
+    pub(crate) fn pos(&self) -> Pos {
+        Pos { line: self.line, col: self.col }
+    }
+
+    fn error(&self, message: String) -> DslError {
+        DslError::Lex { pos: self.pos(), message }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every token of `src` up to and including `Eof`.
+    fn lex(src: &str) -> Result<Vec<Token>, DslError> {
+        let mut lexer = Lexer::new(src);
+        let mut tokens = Vec::new();
+        loop {
+            let token = lexer.next_token()?;
+            let eof = token.kind == TokenKind::Eof;
+            tokens.push(token);
+            if eof {
+                return Ok(tokens);
+            }
+        }
+    }
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         lex(src).expect("lexes").into_iter().map(|t| t.kind).collect()
@@ -320,6 +326,25 @@ mod tests {
         let toks = lex("a\n  bb").expect("lexes");
         assert_eq!(toks[0].pos, Pos { line: 1, col: 1 });
         assert_eq!(toks[1].pos, Pos { line: 2, col: 3 });
+        assert_eq!(toks[2].pos, Pos { line: 2, col: 5 }, "eof sits after the last token");
+    }
+
+    #[test]
+    fn eof_repeats_after_the_end() {
+        let mut lexer = Lexer::new("a # trailing comment");
+        assert_eq!(lexer.next_token().expect("lexes").kind, TokenKind::Ident("a".into()));
+        for _ in 0..3 {
+            assert_eq!(lexer.next_token().expect("lexes").kind, TokenKind::Eof);
+        }
+    }
+
+    #[test]
+    fn input_ends_at_the_first_error() {
+        let mut lexer = Lexer::new("a @ b $");
+        assert_eq!(lexer.next_token().expect("lexes").kind, TokenKind::Ident("a".into()));
+        let err = lexer.next_token().expect_err("must fail");
+        assert!(err.to_string().contains('@'), "{err}");
+        assert_eq!(lexer.next_token().expect("ended").kind, TokenKind::Eof);
     }
 
     #[test]

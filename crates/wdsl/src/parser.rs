@@ -7,50 +7,76 @@
 
 use crate::ast::{BinOp, Builtin, Expr, HostDecl, KernelDecl, Stmt, StmtKind, WorkloadAst};
 use crate::error::{DslError, Pos};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 
-/// Parses a complete `.dsl` source text.
+/// Parses a complete `.dsl` source text, pulling tokens from a
+/// [`Lexer`] as it goes: it holds two tokens of lookahead, never the
+/// token list.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error with its source
-/// position.
+/// Returns the first error with its source position. A lexical error
+/// anywhere in the source outranks any syntax error: after a syntax
+/// error the rest of the input is still scanned (no token is kept), and
+/// a lexical error found there is the one reported.
 pub fn parse(src: &str) -> Result<WorkloadAst, DslError> {
-    let tokens = lex(src)?;
-    let mut p = Parser { tokens, at: 0 };
-    p.file()
+    let mut p = Parser::new(src);
+    let ast = p.file();
+    // Scan what the parser left unread: a lexical error there outranks
+    // the syntax error that stopped it.
+    while p.lex_error.is_none() && p.bump() != TokenKind::Eof {}
+    p.lex_error.map_or(ast, Err)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    at: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token.
+    cur: Token,
+    /// One token of lookahead past `cur`.
+    next: Token,
+    /// The first lexical error; the token stream ends there.
+    lex_error: Option<DslError>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        let eof = Token { kind: TokenKind::Eof, pos: Pos { line: 1, col: 1 } };
+        let mut p = Parser { lexer: Lexer::new(src), cur: eof.clone(), next: eof, lex_error: None };
+        p.bump();
+        p.bump();
+        p
+    }
+
+    /// The lexer's next token, or `Eof` once it has met an error.
+    fn pull(&mut self) -> Token {
+        self.lexer.next_token().unwrap_or_else(|e| {
+            self.lex_error = Some(e);
+            Token { kind: TokenKind::Eof, pos: self.lexer.pos() }
+        })
+    }
+
     fn peek(&self) -> &TokenKind {
-        // The lexer always terminates the stream with Eof, so clamping
-        // to the final token keeps every lookahead in bounds.
-        &self.tokens[self.at.min(self.tokens.len() - 1)].kind
+        &self.cur.kind
     }
 
     fn peek2(&self) -> &TokenKind {
-        &self.tokens[(self.at + 1).min(self.tokens.len() - 1)].kind
+        &self.next.kind
     }
 
     fn pos(&self) -> Pos {
-        self.tokens[self.at.min(self.tokens.len() - 1)].pos
+        self.cur.pos
     }
 
     fn line(&self) -> u32 {
         self.pos().line
     }
 
+    /// Moves the current token out and advances; at the end of input
+    /// the current token stays `Eof`.
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.at.min(self.tokens.len() - 1)].kind.clone();
-        if self.at < self.tokens.len() - 1 {
-            self.at += 1;
-        }
-        t
+        let pulled = self.pull();
+        let next = std::mem::replace(&mut self.next, pulled);
+        std::mem::replace(&mut self.cur, next).kind
     }
 
     fn error(&self, message: impl Into<String>) -> DslError {
@@ -609,6 +635,26 @@ kernel 0 "toy-parent" threads = 32 {
         let err = parse("workload \"p\"; const C = 1").expect_err("must fail");
         assert_eq!(err.stage(), "parse");
         assert!(err.to_string().contains("expected ';'"), "{err}");
+    }
+
+    #[test]
+    fn lex_error_after_a_syntax_error_wins() {
+        let err = parse("workload \"p\"; const C = 1\nconst D = 2;\nconst E = 3 @ 4;")
+            .expect_err("must fail");
+        assert_eq!(err.stage(), "lex", "{err}");
+        assert_eq!(err.to_string(), "lex error at 3:13: unexpected character '@'");
+    }
+
+    #[test]
+    fn syntax_error_alone_is_reported_where_it_is() {
+        let err = parse("workload \"p\"; const C = 1\nconst D = 2;").expect_err("must fail");
+        assert_eq!(err.to_string(), "parse error at 2:1: expected ';', found identifier 'const'");
+    }
+
+    #[test]
+    fn bad_character_on_the_first_line() {
+        let err = parse("@workload \"p\";").expect_err("must fail");
+        assert_eq!(err.to_string(), "lex error at 1:1: unexpected character '@'");
     }
 
     #[test]

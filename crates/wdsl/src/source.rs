@@ -208,6 +208,9 @@ pub fn compile_workload(
 /// The full suite served through the compiled path: every workload of
 /// [`workloads::suite_seeded`] replaced by its compiled DSL port.
 ///
+/// Equal `data` tables are held once per suite: the BFS, CLR and SSSP
+/// ports of one input all embed its graph, and each points at one copy.
+///
 /// # Errors
 ///
 /// Returns [`DslError`] if a suite workload lacks a DSL port or its
@@ -218,13 +221,32 @@ pub fn compiled_suite_seeded(
     seed: u64,
     mode: ExecMode,
 ) -> Result<Vec<Arc<dyn Workload>>, DslError> {
-    let mut out: Vec<Arc<dyn Workload>> = Vec::new();
+    let suite = compiled_suite(scale, seed, mode)?;
+    Ok(suite.into_iter().map(|w| Arc::new(w) as Arc<dyn Workload>).collect())
+}
+
+/// [`compiled_suite_seeded`] before type erasure.
+fn compiled_suite(
+    scale: Scale,
+    seed: u64,
+    mode: ExecMode,
+) -> Result<Vec<CompiledWorkload>, DslError> {
+    let mut tables: Vec<Arc<[u64]>> = Vec::new();
+    let mut out = Vec::new();
     for w in workloads::suite_seeded(scale, seed) {
-        let compiled = compile_workload(w.as_ref(), mode)?.ok_or_else(|| DslError::Resolve {
-            line: 0,
-            message: format!("suite workload '{}' has no DSL port", w.full_name()),
-        })?;
-        out.push(Arc::new(compiled));
+        let mut compiled =
+            compile_workload(w.as_ref(), mode)?.ok_or_else(|| DslError::Resolve {
+                line: 0,
+                message: format!("suite workload '{}' has no DSL port", w.full_name()),
+            })?;
+        for data in &mut compiled.resolved.datas {
+            // Slice equality compares lengths before contents.
+            match tables.iter().find(|t| t[..] == data.values[..]) {
+                Some(table) => data.values = Arc::clone(table),
+                None => tables.push(Arc::clone(&data.values)),
+            }
+        }
+        out.push(compiled);
     }
     Ok(out)
 }
@@ -288,6 +310,66 @@ kernel 1 "toy-child" threads = 32 {
         let w = CompiledWorkload::from_source(TOY, ExecMode::Vm).expect("compiles");
         let err = w.try_tb_program(KernelKindId(9), 0, 0).expect_err("must fail");
         assert!(err.to_string().contains("no kernel with kind 9"), "{err}");
+    }
+
+    #[test]
+    fn suite_holds_one_copy_of_each_data_table() {
+        let suite = compiled_suite(Scale::Tiny, 0, ExecMode::Vm).expect("compiles");
+        let tables: Vec<&Arc<[u64]>> =
+            suite.iter().flat_map(|w| &w.resolved.datas).map(|d| &d.values).collect();
+        for (i, a) in tables.iter().enumerate() {
+            for b in &tables[..i] {
+                assert_eq!(a == b, Arc::ptr_eq(a, b), "equal tables must be one allocation");
+            }
+        }
+        let mut graph_ports = 0;
+        for bfs in suite.iter().filter(|w| w.name() == "bfs") {
+            for app in ["clr", "sssp"] {
+                let port = suite
+                    .iter()
+                    .find(|w| w.name() == app && w.input() == bfs.input())
+                    .unwrap_or_else(|| panic!("no {app} port of {}", bfs.input()));
+                let (ours, theirs) = (&bfs.resolved.datas, &port.resolved.datas);
+                assert_eq!(ours.len(), theirs.len(), "{}", port.full_name());
+                for (x, y) in ours.iter().zip(theirs) {
+                    assert_eq!(x.name, y.name);
+                    assert!(Arc::ptr_eq(&x.values, &y.values), "{}: {}", port.full_name(), y.name);
+                }
+                graph_ports += 1;
+            }
+        }
+        assert_eq!(graph_ports, 6, "three inputs, each shared by clr and sssp with bfs");
+    }
+
+    #[test]
+    fn shared_tables_serve_the_standalone_programs() {
+        let suite = compiled_suite(Scale::Tiny, 0, ExecMode::Vm).expect("compiles");
+        let generators = workloads::suite_seeded(Scale::Tiny, 0);
+        assert_eq!(suite.len(), generators.len());
+        for (shared, generator) in suite.iter().zip(&generators) {
+            let alone = compile_workload(generator.as_ref(), ExecMode::Vm)
+                .expect("compiles")
+                .expect("has a DSL port");
+            let name = alone.full_name();
+            assert_eq!(shared.full_name(), name);
+            let datas = |w: &CompiledWorkload| {
+                w.resolved.datas.iter().map(|d| d.values.to_vec()).collect::<Vec<_>>()
+            };
+            assert_eq!(datas(shared), datas(&alone), "{name}");
+            let interp = shared.clone().with_mode(ExecMode::Interp);
+            for hk in alone.host_kernels() {
+                for tb in [0, hk.num_tbs / 2, hk.num_tbs - 1] {
+                    let want = alone.try_tb_program(hk.kind, hk.param, tb).expect("runs");
+                    assert_eq!(shared.try_tb_program(hk.kind, hk.param, tb).as_ref(), Ok(&want));
+                    assert_eq!(interp.try_tb_program(hk.kind, hk.param, tb).as_ref(), Ok(&want));
+                    for l in want.launches() {
+                        let child = alone.try_tb_program(l.kind, l.param, 0).expect("runs");
+                        assert_eq!(shared.try_tb_program(l.kind, l.param, 0), Ok(child.clone()));
+                        assert_eq!(interp.try_tb_program(l.kind, l.param, 0), Ok(child));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
