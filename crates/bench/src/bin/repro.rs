@@ -44,10 +44,12 @@
 //! (default: all cores). Output is bit-identical for any N; only the
 //! stderr progress interleaving differs.
 //!
-//! The matrix subcommands — `all`, `fig7`, `fig8`, `fig9`, `locality`,
-//! `csv`, `profile` and `latency` — run the evaluation matrix through
-//! one resilient sweep, so the sweep flags below apply to every one of
-//! them.
+//! Every simulation but `timeline`'s is a cell of one resilient sweep
+//! session: the matrix subcommands (`all`, `fig7`, `fig8`, `fig9`,
+//! `locality`, `csv`, `profile`, `latency`) sweep the matrix first, and
+//! every study section then runs its points through the same session,
+//! which serves a point it already ran. So `--engine` and the sweep
+//! flags below apply to every section.
 //!
 //! `--engine` selects the simulation engine (default: `event`, the
 //! discrete-event engine that skips idle cycles; `cycle-stepped` is the
@@ -74,11 +76,14 @@
 //! cell's forward-progress watchdog window. A partial sweep prints a
 //! `FAILED` line per failed cell on stderr, renders a `DEGRADED (k/N
 //! cells failed)` banner and failures table ahead of the report over
-//! the surviving cells, and exits 1. Without `--cache-dir`, output is
+//! the surviving cells, and exits 1; a failed study cell prints a
+//! `FAILED` line, reads as zero in its section, and exits 1 too. The
+//! `programs:` and `cell cache:` lines total the whole run. Without
+//! `--cache-dir`, output is
 //! byte-identical to the resilience-free executor. The undocumented
-//! `--kill-after-cells N` hard-kills the process after N cells are
-//! committed to the cache — the CI `sweep-resilience` job's crash
-//! injection.
+//! `--kill-after-cells N` hard-kills the process after N cells of the
+//! run are committed to the cache — the CI `sweep-resilience` job's
+//! crash injection.
 //!
 //! An unknown experiment or flag, a flag with no value, an operand after
 //! any experiment but `dsl`, `--json` on any experiment but `all`,
@@ -106,7 +111,7 @@ use laperm_bench::{
     ablate, check_document, default_jobs, fig7, fig8, fig9, figure4, full_report, generality,
     latency_report, locality, overhead, profile, render_check_report, saturation, suite_for_path,
     sweep_cache, table1, table2, timeline, variance, CheckVerdict, MatrixRecords, ProgramPath,
-    Resilience, SweepDoc,
+    Resilience, Session, SweepDoc,
 };
 use sim_metrics::FootprintAnalysis;
 use wdsl::{CompiledWorkload, ExecMode};
@@ -184,35 +189,41 @@ fn parse_args() -> Args {
     }
 }
 
-/// Runs a matrix subcommand: sweeps the evaluation matrix of `suite`
-/// (the run's suite) through the resilient executor `repro all` uses
-/// (honouring `--engine` and the resilience flags), writes the document to
-/// `json` when given, and prints `render`'s report over the completed
-/// records and Figure 2's footprint analyses (computed once, for the
-/// document, only when `json` is given; empty otherwise). `profiled`
-/// turns on engine introspection and latency attribution. Failed cells
-/// print as `FAILED` lines and a `DEGRADED` banner ahead of the report,
-/// then the process exits 1.
-fn run_matrix_command(
+/// Runs one report through a [`Session`] over `suite` (the run's
+/// suite), honouring `--engine` and the resilience flags: with `matrix`
+/// it sweeps the matrix first and writes the document to `json` when
+/// given, then prints `render`'s report over the matrix records and
+/// Figure 2's footprint analyses (computed, for the document, only when
+/// `json` is given). `profiled` turns on engine introspection and
+/// latency attribution. Failed cells print as `FAILED` lines (matrix
+/// ones also as a `DEGRADED` banner), then the process exits 1.
+fn run_report(
     args: &Args,
     suite: &[Arc<dyn Workload>],
     profiled: bool,
+    matrix: bool,
     json: Option<&str>,
-    render: impl FnOnce(&MatrixRecords, &[FootprintAnalysis]) -> String,
+    render: impl FnOnce(&mut Session, &MatrixRecords, &[FootprintAnalysis]) -> String,
 ) {
     let cfg = sweep_config(args.engine, profiled);
-    let (mut doc, report) =
-        SweepDoc::build_matrix(args.scale, 0, args.jobs, &cfg, suite, &args.resilience)
-            .unwrap_or_else(|e| fail(e));
+    let res = args.resilience.clone();
+    let mut session = Session::new(args.scale, args.programs, cfg, args.jobs, res);
+    let mut doc = matrix.then(|| session.matrix(suite).unwrap_or_else(|e| fail(e)));
     // Only the written document carries Figure 2's footprint rows.
     let mut footprints = Vec::new();
-    if let Some(path) = json {
+    if let (Some(path), Some(doc)) = (json, doc.as_mut()) {
         footprints = footprint_analyses(suite, args.jobs);
         doc.footprints = footprints.iter().map(FootprintRow::from).collect();
         std::fs::write(path, doc.to_json())
             .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
+    // A partial sweep degrades instead of aborting: the banner and
+    // failures table lead the report, the surviving cells still render.
+    let banner = doc.as_ref().and_then(SweepDoc::degraded_banner);
+    let (records, mut failures) = doc.map(|d| (d.records, d.failures)).unwrap_or_default();
+    let text = render(&mut session, &MatrixRecords::from_records(records), &footprints);
+    let report = session.report();
     if args.resilience.cache_dir.is_some() {
         if let Some(damage) = &report.journal_damage {
             eprintln!("cell journal damage repaired: {damage}; dropped records were recomputed");
@@ -223,17 +234,15 @@ fn run_matrix_command(
         );
     }
     eprintln!("programs: {} built, {} served", report.programs_built, report.programs_served);
-    for f in &doc.failures {
+    failures.extend_from_slice(session.failures());
+    for f in &failures {
         eprintln!("FAILED {}/{}/{}: {}", f.workload, f.launch_model, f.scheduler, f.error);
     }
-    // A partial sweep degrades instead of aborting: the banner and
-    // failures table lead the report, the surviving cells still render.
-    let banner = doc.degraded_banner();
     if let Some(banner) = &banner {
         print!("{banner}");
     }
-    print!("{}", render(&MatrixRecords::from_records(doc.records), &footprints));
-    if banner.is_some() {
+    print!("{text}");
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }
@@ -319,32 +328,43 @@ fn main() {
     // The run's one suite: input seed 0 on the `--programs` path. Each
     // subcommand that reads a suite builds it here, once.
     let suite = || suite_for_path(scale, 0, args.programs).unwrap_or_else(|e| fail(e));
+    // A study subcommand: one section through a session with no matrix.
+    let run_study = |study: fn(&mut Session, &[Arc<dyn Workload>]) -> String| {
+        let all = suite();
+        run_report(&args, &all, false, false, None, |s, _, _| format!("{}\n", study(s, &all)));
+    };
 
     match args.experiment.as_str() {
         "table1" => println!("{}", table1()),
         "table2" => println!("{}", table2(scale, &suite())),
         "fig2" => println!("{}", render_fig2(scale, &footprint_analyses(&suite(), jobs))),
         "fig4" => println!("{}", figure4()),
-        "fig7" => run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", fig7(m))),
-        "fig8" => run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", fig8(m))),
-        "fig9" => run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", fig9(m))),
+        "fig7" => {
+            run_report(&args, &suite(), false, true, None, |_, m, _| format!("{}\n", fig7(m)))
+        }
+        "fig8" => {
+            run_report(&args, &suite(), false, true, None, |_, m, _| format!("{}\n", fig8(m)))
+        }
+        "fig9" => {
+            run_report(&args, &suite(), false, true, None, |_, m, _| format!("{}\n", fig9(m)))
+        }
         "locality" => {
-            run_matrix_command(&args, &suite(), false, None, |m, _| format!("{}\n", locality(m)))
+            run_report(&args, &suite(), false, true, None, |_, m, _| format!("{}\n", locality(m)))
         }
         "latency" => {
             let all = suite();
-            run_matrix_command(&args, &all, true, None, |m, _| latency_report(scale, &all, jobs, m))
+            run_report(&args, &all, true, true, None, |s, m, _| latency_report(s, &all, m))
         }
         "timeline" => println!("{}", timeline(scale, &suite(), jobs)),
-        "variance" => println!("{}", variance(scale, args.programs, &suite(), jobs)),
-        "csv" => run_matrix_command(&args, &suite(), false, None, |m, _| {
+        "variance" => run_study(variance),
+        "csv" => run_report(&args, &suite(), false, true, None, |_, m, _| {
             sim_metrics::export::runs_to_csv(m.records())
         }),
-        "cache" => println!("{}", sweep_cache(scale, &suite(), jobs)),
-        "saturation" => println!("{}", saturation(scale, &suite(), jobs)),
-        "generality" => println!("{}", generality(scale, &suite(), jobs)),
-        "overhead" => println!("{}", overhead(&suite(), jobs)),
-        "ablate" => println!("{}", ablate(scale, &suite(), jobs)),
+        "cache" => run_study(sweep_cache),
+        "saturation" => run_study(saturation),
+        "generality" => run_study(generality),
+        "overhead" => run_study(overhead),
+        "ablate" => run_study(ablate),
         // The profiled document never clobbers the `repro all` artifact,
         // whose byte-identity the `engine-equivalence` CI job depends
         // on; `repro check --json repro_profile.json` binds the engine
@@ -352,13 +372,11 @@ fn main() {
         "all" => {
             let path = args.json_path.as_deref().unwrap_or("repro.json");
             let all = suite();
-            run_matrix_command(&args, &all, false, Some(path), |m, fp| {
-                full_report(scale, args.programs, &all, jobs, m, fp)
-            })
+            run_report(&args, &all, false, true, Some(path), |s, m, fp| full_report(s, &all, m, fp))
         }
         "profile" => {
             let path = args.json_path.as_deref().unwrap_or("repro_profile.json");
-            run_matrix_command(&args, &suite(), true, Some(path), |m, _| profile(m))
+            run_report(&args, &suite(), true, true, Some(path), |_, m, _| profile(m))
         }
         "check" => run_check(&args),
         "dsl" => run_dsl(&args),

@@ -2,18 +2,15 @@
 
 use std::sync::Arc;
 
-use dynpar::{DtblModel, LaunchLatency, LaunchModelKind};
-use gpu_sim::config::GpuConfig;
-use gpu_sim::engine::Simulator;
-use gpu_sim::launch::DynamicLaunchModel;
-use gpu_sim::stats::SimStats;
-use gpu_sim::tb_sched::TbScheduler;
+use dynpar::{LaunchLatency, LaunchModelKind};
+use gpu_sim::config::{GpuConfig, WarpSchedPolicy};
 use sim_metrics::footprint::{FootprintAnalysis, FootprintSummary};
-use sim_metrics::harness::{run_once, run_with_latency, LocalityRecord, RunRecord, SchedulerKind};
+use sim_metrics::harness::{LocalityRecord, RunRecord, SchedulerKind};
 use sim_metrics::report::{mean, pct, ratio, Table};
-use workloads::{Scale, SharedSource, Workload};
+use workloads::{Scale, Workload};
 
-use crate::sweep::{suite_for_path, ProgramPath};
+use crate::session::Session;
+use crate::sweep::{suite_for_path, GpuOverride, MatrixCell};
 
 /// All runs of the main evaluation matrix: every workload under both
 /// launch models and all four schedulers.
@@ -93,47 +90,28 @@ fn by_name<'a>(all: &'a [Arc<dyn Workload>], name: &str) -> &'a Arc<dyn Workload
         .unwrap_or_else(|| panic!("{name} is not in the suite"))
 }
 
-/// Runs every host kernel of `w` to completion on `cfg` under an
-/// explicit scheduler and launch model: the studies whose policies lie
-/// outside the harness's four scheduler kinds and default launch paths.
-fn simulate(
+/// `w` under DTBL delivery with round-robin and with Adaptive-Bind at
+/// each of `points`, which `vary` applies to a cell: the cell pairs
+/// every gain study compares, in point order.
+fn gain_cells<P: Copy>(
     w: &Arc<dyn Workload>,
-    cfg: &GpuConfig,
-    scheduler: Box<dyn TbScheduler>,
-    launch: Box<dyn DynamicLaunchModel>,
-) -> SimStats {
-    let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
-        .with_scheduler(scheduler)
-        .with_launch_model(launch);
-    for hk in w.host_kernels() {
-        sim.launch_host_kernel(hk.kind, hk.param, hk.num_tbs, hk.req).expect("launch");
-    }
-    sim.run_to_completion().unwrap_or_else(|e| panic!("{} run: {e}", w.full_name()))
+    points: &[P],
+    vary: impl Fn(MatrixCell, P) -> MatrixCell,
+) -> Vec<MatrixCell> {
+    let scheds = [SchedulerKind::RoundRobin, SchedulerKind::AdaptiveBind];
+    points
+        .iter()
+        .flat_map(|&p| {
+            scheds.map(|k| vary(MatrixCell::new(w.clone(), LaunchModelKind::Dtbl, k), p))
+        })
+        .collect()
 }
 
-/// `w` under DTBL delivery on `cfg`, with round-robin and with
-/// Adaptive-Bind: the two runs every gain study compares.
-fn rr_and_adaptive(w: &Arc<dyn Workload>, cfg: &GpuConfig) -> (RunRecord, RunRecord) {
-    let run = |s: SchedulerKind| {
-        run_once(w, LaunchModelKind::Dtbl, s, cfg).unwrap_or_else(|e| panic!("{s} run: {e}"))
-    };
-    (run(SchedulerKind::RoundRobin), run(SchedulerKind::AdaptiveBind))
-}
-
-/// The table row `label | rr IPC | adaptive IPC | gain` of an
-/// [`rr_and_adaptive`] pair.
-fn gain_row(label: String, (rr, ad): &(RunRecord, RunRecord)) -> Vec<String> {
+/// The table row `label | rr IPC | adaptive IPC | gain` of one
+/// [`gain_cells`] pair's records.
+fn gain_row(label: String, pair: &[RunRecord]) -> Vec<String> {
+    let (rr, ad) = (&pair[0], &pair[1]);
     vec![label, format!("{:.1}", rr.ipc), format!("{:.1}", ad.ipc), ratio(ad.ipc / rr.ipc)]
-}
-
-/// DTBL delivery at its default latency with a `cap`-entry on-chip
-/// aggregation table.
-fn dtbl_with_table(cap: usize) -> Box<dyn DynamicLaunchModel> {
-    Box::new(DtblModel::with_table(
-        LaunchLatency::default_for(LaunchModelKind::Dtbl),
-        cap,
-        DtblModel::DEFAULT_OVERFLOW_PENALTY,
-    ))
 }
 
 /// Table II: the benchmark suite `all`, generated at `scale`.
@@ -365,40 +343,31 @@ pub fn fig9(m: &MatrixRecords) -> String {
 }
 
 /// Launch-latency sensitivity (Section IV-D): how the Adaptive-Bind gain
-/// decays as the device-launch latency grows. Latency points fan out
-/// over `jobs` workers.
-pub fn latency_sweep(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
-    let cfg = GpuConfig::kepler_k20c();
-    let w = by_name(all, "bfs-citation");
+/// decays as the device-launch latency grows.
+pub fn latency_sweep(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
+    let bases = [0u32, 500, 1000, 2000, 4000, 8000, 16000];
+    let cells = gain_cells(by_name(all, "bfs-citation"), &bases, |c, base| MatrixCell {
+        latency: Some(LaunchLatency::uniform(base)),
+        ..c
+    });
     let mut t =
         Table::new(vec!["launch latency", "rr IPC", "adaptive IPC", "gain", "child wait (rr)"]);
-    let bases = [0u32, 500, 1000, 2000, 4000, 8000, 16000];
-    let rows = crate::sweep::parallel_map(&bases, jobs, |&base| {
-        let latency = LaunchLatency::uniform(base);
-        let rr =
-            run_with_latency(w, LaunchModelKind::Dtbl, latency, SchedulerKind::RoundRobin, &cfg)
-                .expect("rr run");
-        let ad =
-            run_with_latency(w, LaunchModelKind::Dtbl, latency, SchedulerKind::AdaptiveBind, &cfg)
-                .expect("adaptive run");
-        (rr, ad)
-    });
-    for (base, pair) in bases.iter().zip(rows) {
-        let mut row = gain_row(base.to_string(), &pair);
-        row.push(format!("{:.0}", pair.0.mean_child_wait));
+    for (base, pair) in bases.iter().zip(s.run(0, &cells).chunks(2)) {
+        let mut row = gain_row(base.to_string(), pair);
+        row.push(format!("{:.0}", pair[0].mean_child_wait));
         t.row(row);
     }
     format!(
-        "Launch-latency sensitivity on bfs-citation, DTBL delivery ({scale} scale)\n\
+        "Launch-latency sensitivity on bfs-citation, DTBL delivery ({} scale)\n\
          (Section IV-D: long launch latency erodes the exploitable locality)\n{}",
+        s.scale,
         t.render()
     )
 }
 
 /// Overhead analysis (Section IV-E): queue hardware budget and observed
-/// dynamic overheads. The per-workload runs fan out over `jobs` workers.
-pub fn overhead(all: &[Arc<dyn Workload>], jobs: usize) -> String {
-    let cfg = GpuConfig::kepler_k20c();
+/// dynamic overheads.
+pub fn overhead(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
     let mut out = String::from(
         "Overhead analysis (Section IV-E)\n\
          Hardware budget: 3 KB SRAM per SMX = 128 entries x 24 B (~1% of \
@@ -413,11 +382,14 @@ pub fn overhead(all: &[Arc<dyn Workload>], jobs: usize) -> String {
         "steals",
     ]);
     let names = ["bfs-citation", "amr", "join-gaussian", "regx-strings"];
-    let recs = crate::sweep::parallel_map(&names, jobs, |name| {
-        let w = by_name(all, name);
-        run_once(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, &cfg).expect("overhead run")
+    let cells = names.map(|name| {
+        MatrixCell::new(
+            by_name(all, name).clone(),
+            LaunchModelKind::Dtbl,
+            SchedulerKind::AdaptiveBind,
+        )
     });
-    for rec in recs {
+    for rec in s.run(0, &cells) {
         t.row(vec![
             rec.workload.clone(),
             rec.queue_pushes.to_string(),
@@ -434,18 +406,13 @@ pub fn overhead(all: &[Arc<dyn Workload>], jobs: usize) -> String {
 /// Input-seed variance: the headline gain measured over several
 /// independently generated input instances (mean ± sample std), showing
 /// the result is a property of the input *structure*, not of one lucky
-/// instance. `all` is the seed-0 suite on the `programs` path; each
-/// other seed's suite is generated once on the same path and dropped
-/// before the next. Each seed's workloads fan out over `jobs` workers.
-pub fn variance(
-    scale: Scale,
-    programs: ProgramPath,
-    all: &[Arc<dyn Workload>],
-    jobs: usize,
-) -> String {
+/// instance. `all` is the session's seed-0 suite; each other seed's
+/// suite is generated once on the same program path, run as its own
+/// batch, and dropped before the next.
+pub fn variance(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
     use sim_metrics::report::mean_std;
 
-    let cfg = GpuConfig::kepler_k20c();
+    let scale = s.scale;
     let seeds: [u64; 5] = [0, 11, 2025, 424242, 7_777_777];
     let names = ["bfs-citation", "bfs-graph500", "join-gaussian", "regx-strings"];
     let mut out =
@@ -455,15 +422,15 @@ pub fn variance(
     let mut gains = vec![Vec::new(); names.len()];
     for seed in seeds {
         let seeded = (seed != 0).then(|| {
-            suite_for_path(scale, seed, programs).unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+            suite_for_path(scale, seed, s.programs).unwrap_or_else(|e| panic!("seed {seed}: {e}"))
         });
         let suite = seeded.as_deref().unwrap_or(all);
-        let row = crate::sweep::parallel_map(&names, jobs, |name| {
-            let (rr, ad) = rr_and_adaptive(by_name(suite, name), &cfg);
-            ad.ipc / rr.ipc
-        });
-        for (g, gain) in gains.iter_mut().zip(row) {
-            g.push(gain);
+        let cells: Vec<MatrixCell> = names
+            .iter()
+            .flat_map(|name| gain_cells(by_name(suite, name), &[()], |c, ()| c))
+            .collect();
+        for (g, pair) in gains.iter_mut().zip(s.run(seed, &cells).chunks(2)) {
+            g.push(pair[1].ipc / pair[0].ipc);
         }
     }
     for (name, g) in names.iter().zip(&gains) {
@@ -476,55 +443,48 @@ pub fn variance(
 
 /// Cache-size sensitivity: how the LaPerm gain depends on L1 and L2
 /// capacity (the hardware-parameter study the paper's Section IV-F
-/// explicitly leaves to future work). Capacity points fan out over
-/// `jobs` workers.
-pub fn sweep_cache(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
-    let w = by_name(all, "bfs-citation");
-    let mut out = format!(
-        "Cache-size sensitivity on bfs-citation, DTBL ({scale} scale)\n\
-         (Section IV-F: the paper leaves cache-size effects to future work)\n\n"
-    );
-
+/// explicitly leaves to future work).
+pub fn sweep_cache(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
     let l1_kbs = [16u32, 32, 48, 64];
-    let mut t = Table::new(vec!["L1 per SMX", "rr IPC", "adaptive IPC", "gain"]);
-    let rows = crate::sweep::parallel_map(&l1_kbs, jobs, |&kb| {
-        let mut cfg = GpuConfig::kepler_k20c();
-        cfg.l1_bytes = kb * 1024;
-        rr_and_adaptive(w, &cfg)
-    });
-    for (kb, pair) in l1_kbs.iter().zip(rows) {
-        t.row(gain_row(format!("{kb} KB"), &pair));
-    }
-    out.push_str(&t.render());
-
     let l2_kbs = [768u32, 1536, 3072, 6144];
-    let mut t = Table::new(vec!["L2 total", "rr IPC", "adaptive IPC", "gain"]);
-    let rows = crate::sweep::parallel_map(&l2_kbs, jobs, |&kb| {
-        let mut cfg = GpuConfig::kepler_k20c();
-        cfg.l2_bytes = kb * 1024;
-        rr_and_adaptive(w, &cfg)
+    let changes: Vec<GpuOverride> = (l1_kbs.iter().map(|kb| GpuOverride::L1Bytes(kb * 1024)))
+        .chain(l2_kbs.iter().map(|kb| GpuOverride::L2Bytes(kb * 1024)))
+        .collect();
+    let cells = gain_cells(by_name(all, "bfs-citation"), &changes, |c, change| MatrixCell {
+        gpu: Some(change),
+        ..c
     });
-    for (kb, pair) in l2_kbs.iter().zip(rows) {
-        t.row(gain_row(format!("{kb} KB"), &pair));
-    }
-    out.push('\n');
-    out.push_str(&t.render());
-    out
+    let recs = s.run(0, &cells);
+    let (l1, l2) = recs.split_at(2 * l1_kbs.len());
+    let table = |label: &str, kbs: &[u32], recs: &[RunRecord]| {
+        let mut t = Table::new(vec![label, "rr IPC", "adaptive IPC", "gain"]);
+        for (kb, pair) in kbs.iter().zip(recs.chunks(2)) {
+            t.row(gain_row(format!("{kb} KB"), pair));
+        }
+        t.render()
+    };
+    format!(
+        "Cache-size sensitivity on bfs-citation, DTBL ({} scale)\n\
+         (Section IV-F: the paper leaves cache-size effects to future work)\n\n{}\n{}",
+        s.scale,
+        table("L1 per SMX", &l1_kbs, l1),
+        table("L2 total", &l2_kbs, l2)
+    )
 }
 
 /// Architecture generality: the Kepler config of Table I vs a
 /// Maxwell-like machine (more, narrower SMs; bigger L2).
-pub fn generality(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
+pub fn generality(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
     use sim_metrics::report::bar_chart;
-    let w = by_name(all, "bfs-citation");
-    let mut out = format!("Architecture generality on bfs-citation, DTBL ({scale} scale)\n\n");
-    let machines =
-        [("kepler-k20c", GpuConfig::kepler_k20c()), ("maxwell-like", GpuConfig::maxwell_like())];
-    let results = crate::sweep::parallel_map(&machines, jobs, |(_, cfg)| rr_and_adaptive(w, cfg));
+    let machines = [("kepler-k20c", None), ("maxwell-like", Some(GpuOverride::MaxwellLike))];
+    let changes = machines.map(|(_, change)| change);
+    let cells =
+        gain_cells(by_name(all, "bfs-citation"), &changes, |c, gpu| MatrixCell { gpu, ..c });
+    let mut out = format!("Architecture generality on bfs-citation, DTBL ({} scale)\n\n", s.scale);
     let mut bars = Vec::new();
-    for ((name, _), (rr, ad)) in machines.iter().zip(results) {
-        bars.push((format!("{name} rr"), rr.ipc));
-        bars.push((format!("{name} adaptive"), ad.ipc));
+    for ((name, _), pair) in machines.iter().zip(s.run(0, &cells).chunks(2)) {
+        bars.push((format!("{name} rr"), pair[0].ipc));
+        bars.push((format!("{name} adaptive"), pair[1].ipc));
     }
     out.push_str(&bar_chart(&bars, 40));
     out.push_str("\nThe LaPerm gain survives the architecture change (Section II).\n");
@@ -562,125 +522,97 @@ pub fn timeline(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String 
 }
 
 /// Design-choice ablations: nesting clamp `L`, SMX cluster size, steal
-/// hysteresis, and the DTBL on-chip table capacity. Each ablation's
-/// points fan out over `jobs` workers.
-pub fn ablate(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
-    use laperm::LaPermPolicy::{AdaptiveBind, SmxBind, TbPri};
-    use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
+/// hysteresis, the DTBL on-chip table capacity, the mechanism
+/// decomposition, TB throttling and the warp scheduler, run as one
+/// batch.
+pub fn ablate(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
+    use laperm::LaPermConfig;
+    use SchedulerKind::{AdaptiveBind, BindOnly, RoundRobin, SmxBind, TbPri};
 
-    let cfg = GpuConfig::kepler_k20c();
+    let kepler = GpuConfig::kepler_k20c();
+    let base = LaPermConfig::for_gpu(&kepler);
     let w = by_name(all, "bfs-citation");
-    let laperm = |policy: LaPermPolicy, laperm_cfg: LaPermConfig| -> Box<dyn TbScheduler> {
-        Box::new(LaPermScheduler::new(policy, laperm_cfg))
-    };
-    // IPC under `scheduler` with default DTBL delivery.
-    let ipc = |w: &Arc<dyn Workload>, scheduler| {
-        simulate(w, &cfg, scheduler, LaunchModelKind::Dtbl.build_default()).ipc()
-    };
-
-    let base_cfg = LaPermConfig::for_gpu(&cfg);
-    let mut out = format!("Design-choice ablations, DTBL ({scale} scale)\n\n");
-
     // The nesting clamp only matters on a workload that actually nests:
     // AMR refines recursively (depth 2).
     let amr = by_name(all, "amr");
-    let mut t = Table::new(vec!["max nesting level L (amr)", "adaptive-bind IPC"]);
+    let dtbl = |w: &Arc<dyn Workload>, k| MatrixCell::new(w.clone(), LaunchModelKind::Dtbl, k);
+    let tuned = |w, k, laperm| MatrixCell { laperm: Some(laperm), ..dtbl(w, k) };
+
     let levels = [1u8, 2, 4, 8];
-    let ipcs = crate::sweep::parallel_map(&levels, jobs, |&level| {
-        ipc(amr, laperm(AdaptiveBind, base_cfg.with_max_level(level)))
-    });
-    for (level, ipc) in levels.iter().zip(ipcs) {
-        t.row(vec![level.to_string(), format!("{ipc:.1}")]);
-    }
-    out.push_str(&t.render());
-    out.push_str("\nbfs-citation sweeps:\n");
-
-    let mut t = Table::new(vec!["SMX cluster size", "smx-bind IPC"]);
     let clusters = [1u16, 2, 4];
-    let ipcs = crate::sweep::parallel_map(&clusters, jobs, |&cluster| {
-        ipc(w, laperm(SmxBind, base_cfg.with_cluster_size(cluster)))
-    });
-    for (cluster, ipc) in clusters.iter().zip(ipcs) {
-        t.row(vec![cluster.to_string(), format!("{ipc:.1}")]);
-    }
-    out.push('\n');
-    out.push_str(&t.render());
-
-    let mut t = Table::new(vec!["steal min free slots", "adaptive-bind IPC"]);
     let slot_counts = [0u32, 4, 8, 16];
-    let ipcs = crate::sweep::parallel_map(&slot_counts, jobs, |&slots| {
-        ipc(w, laperm(AdaptiveBind, base_cfg.with_steal_min_free_slots(slots)))
-    });
-    for (slots, ipc) in slot_counts.iter().zip(ipcs) {
-        t.row(vec![slots.to_string(), format!("{ipc:.1}")]);
-    }
-    out.push('\n');
-    out.push_str(&t.render());
-
-    let mut t = Table::new(vec!["DTBL on-chip table entries", "adaptive-bind IPC"]);
     let caps = [8usize, 32, 128, 512];
-    let ipcs = crate::sweep::parallel_map(&caps, jobs, |&cap| {
-        simulate(w, &cfg, laperm(AdaptiveBind, base_cfg), dtbl_with_table(cap)).ipc()
-    });
-    for (cap, ipc) in caps.iter().zip(ipcs) {
-        t.row(vec![cap.to_string(), format!("{ipc:.1}")]);
-    }
-    out.push('\n');
-    out.push_str(&t.render());
-
     // Mechanism decomposition: how much of the gain is *when* children
     // run (prioritization) vs *where* they run (binding)?
-    {
-        use laperm::BindOnlyScheduler;
-        let mechanisms =
-            ["neither (rr)", "priority only (tb-pri)", "binding only", "both (smx-bind)"];
-        let ipcs = crate::sweep::parallel_map(&[0usize, 1, 2, 3], jobs, |&i| match i {
-            0 => ipc(w, Box::new(gpu_sim::tb_sched::RoundRobinScheduler::new())),
-            1 => ipc(w, laperm(TbPri, base_cfg)),
-            2 => ipc(w, Box::new(BindOnlyScheduler::new())),
-            _ => ipc(w, laperm(SmxBind, base_cfg)),
-        });
-        let mut t = Table::new(vec!["mechanisms", "IPC"]);
-        for (label, ipc) in mechanisms.iter().zip(ipcs) {
-            t.row(vec![label.to_string(), format!("{ipc:.1}")]);
-        }
-        out.push('\n');
-        out.push_str(&t.render());
-    }
-
+    let mechanisms = [
+        ("neither (rr)", RoundRobin),
+        ("priority only (tb-pri)", TbPri),
+        ("binding only", BindOnly),
+        ("both (smx-bind)", SmxBind),
+    ];
     // Contention-aware TB throttling (Section IV-F's suggested
     // combination with prior work): cap resident TBs per SMX.
-    let mut t = Table::new(vec!["TB throttle / SMX", "adaptive-bind IPC"]);
     let throttles = [4u32, 8, 12, 16];
-    let ipcs = crate::sweep::parallel_map(&throttles, jobs, |&throttle| {
-        ipc(w, laperm(AdaptiveBind, base_cfg.with_throttle_tbs(throttle)))
-    });
-    for (&throttle, ipc) in throttles.iter().zip(ipcs) {
-        let label = if throttle >= cfg.max_tbs_per_smx {
-            format!("{throttle} (= hw limit)")
-        } else {
-            throttle.to_string()
-        };
-        t.row(vec![label, format!("{ipc:.1}")]);
-    }
-    out.push('\n');
-    out.push_str(&t.render());
-
     // Orthogonality to the warp scheduler (paper Section IV-F): the
     // LaPerm gain should survive swapping GTO for loose round-robin.
+    let policies = [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr];
+
+    let mut cells = Vec::new();
+    cells.extend(levels.map(|level| tuned(amr, AdaptiveBind, base.with_max_level(level))));
+    cells.extend(clusters.map(|size| tuned(w, SmxBind, base.with_cluster_size(size))));
+    cells.extend(slot_counts.map(|n| tuned(w, AdaptiveBind, base.with_steal_min_free_slots(n))));
+    cells.extend(caps.map(|cap| MatrixCell { table_entries: Some(cap), ..dtbl(w, AdaptiveBind) }));
+    cells.extend(mechanisms.map(|(_, k)| dtbl(w, k)));
+    cells.extend(throttles.map(|tbs| tuned(w, AdaptiveBind, base.with_throttle_tbs(tbs))));
+    cells.extend(gain_cells(w, &policies, |c, policy| MatrixCell {
+        gpu: Some(GpuOverride::WarpScheduler(policy)),
+        ..c
+    }));
+    let recs = s.run(0, &cells);
+    let mut next = recs.iter();
+    let mut ipc_table = |header: [&str; 2], labels: Vec<String>| {
+        let mut t = Table::new(header.to_vec());
+        for (label, r) in labels.into_iter().zip(next.by_ref()) {
+            t.row(vec![label, format!("{:.1}", r.ipc)]);
+        }
+        t.render()
+    };
+    let amr_table = ipc_table(["max nesting level L (amr)", "adaptive-bind IPC"], labels(&levels));
+    let mut tables = vec![
+        ipc_table(["SMX cluster size", "smx-bind IPC"], labels(&clusters)),
+        ipc_table(["steal min free slots", "adaptive-bind IPC"], labels(&slot_counts)),
+        ipc_table(["DTBL on-chip table entries", "adaptive-bind IPC"], labels(&caps)),
+        ipc_table(["mechanisms", "IPC"], mechanisms.iter().map(|(l, _)| l.to_string()).collect()),
+        ipc_table(
+            ["TB throttle / SMX", "adaptive-bind IPC"],
+            throttles
+                .iter()
+                .map(|&tbs| {
+                    if tbs >= kepler.max_tbs_per_smx {
+                        format!("{tbs} (= hw limit)")
+                    } else {
+                        tbs.to_string()
+                    }
+                })
+                .collect(),
+        ),
+    ];
     let mut t = Table::new(vec!["warp scheduler", "rr IPC", "adaptive IPC", "gain"]);
-    let policies = [gpu_sim::config::WarpSchedPolicy::Gto, gpu_sim::config::WarpSchedPolicy::Lrr];
-    let results = crate::sweep::parallel_map(&policies, jobs, |&policy| {
-        let mut warp_cfg = cfg.clone();
-        warp_cfg.warp_scheduler = policy;
-        rr_and_adaptive(w, &warp_cfg)
-    });
-    for (policy, pair) in policies.iter().zip(results) {
-        t.row(gain_row(policy.to_string(), &pair));
+    let warp = &recs[recs.len() - 2 * policies.len()..];
+    for (policy, pair) in policies.iter().zip(warp.chunks(2)) {
+        t.row(gain_row(policy.to_string(), pair));
     }
-    out.push('\n');
-    out.push_str(&t.render());
-    out
+    tables.push(t.render());
+    format!(
+        "Design-choice ablations, DTBL ({} scale)\n\n{amr_table}\nbfs-citation sweeps:\n\n{}",
+        s.scale,
+        tables.join("\n")
+    )
+}
+
+/// Each point's display label.
+fn labels<T: ToString>(points: &[T]) -> Vec<String> {
+    points.iter().map(T::to_string).collect()
 }
 
 /// Launch-path saturation sweep: IPC versus the DTBL aggregation-table
@@ -689,28 +621,24 @@ pub fn ablate(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
 /// overflow penalty, so this shows where each scheduler's gain survives a
 /// saturated launch path and where it collapses. Not part of the `all`
 /// report (the golden predates it); run `repro saturation`.
-pub fn saturation(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> String {
-    let cfg = GpuConfig::kepler_k20c();
+pub fn saturation(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
     let w = by_name(all, "bfs-citation");
-
     let caps = [8usize, 16, 32, 64, 128, 256];
     let scheds = SchedulerKind::all();
-    let cells: Vec<(usize, SchedulerKind)> =
-        caps.iter().flat_map(|&cap| scheds.iter().map(move |&s| (cap, s))).collect();
-    let results = crate::sweep::parallel_map(&cells, jobs, |&(cap, sched)| {
-        let stats = simulate(w, &cfg, sched.build(&cfg), dtbl_with_table(cap));
-        let overflows = stats
-            .launch_counters
-            .iter()
-            .find(|(k, _)| *k == "dtbl_table_overflows")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        (stats.ipc(), overflows)
-    });
+    let cells: Vec<MatrixCell> = caps
+        .iter()
+        .flat_map(|&cap| {
+            scheds.map(|k| MatrixCell {
+                table_entries: Some(cap),
+                ..MatrixCell::new(w.clone(), LaunchModelKind::Dtbl, k)
+            })
+        })
+        .collect();
 
     let mut out = format!(
         "Launch-path saturation: IPC vs DTBL aggregation-table size on bfs-citation \
-         ({scale} scale)\n\n"
+         ({} scale)\n\n",
+        s.scale
     );
     let mut t = Table::new(vec![
         "table entries",
@@ -720,12 +648,10 @@ pub fn saturation(scale: Scale, all: &[Arc<dyn Workload>], jobs: usize) -> Strin
         "adaptive IPC",
         "overflows (adaptive)",
     ]);
-    for (ci, &cap) in caps.iter().enumerate() {
-        let row = &results[ci * scheds.len()..(ci + 1) * scheds.len()];
+    for (cap, row) in caps.iter().zip(s.run(0, &cells).chunks(scheds.len())) {
         let mut cells = vec![cap.to_string()];
-        cells.extend(row.iter().map(|(ipc, _)| format!("{ipc:.1}")));
-        let adaptive_ovf = row[scheds.len() - 1].1;
-        cells.push(adaptive_ovf.to_string());
+        cells.extend(row.iter().map(|r| format!("{:.1}", r.ipc)));
+        cells.push(row[scheds.len() - 1].table_overflows.to_string());
         t.row(cells);
     }
     out.push_str(&t.render());
@@ -965,35 +891,31 @@ pub fn latency_attribution(m: &MatrixRecords) -> String {
 }
 
 /// The complete `repro latency` text report: the Section IV-D
-/// launch-latency sensitivity sweep followed by the lifecycle
-/// attribution tables over a latency-profiled matrix (`m` must come
-/// from a sweep under [`crate::sweep::sweep_config`]`(_, true)`).
+/// launch-latency sensitivity sweep, run through `s`, followed by the
+/// lifecycle attribution tables over a latency-profiled matrix (`m`
+/// must come from a sweep under
+/// [`crate::sweep::sweep_config`]`(_, true)`).
 /// `tests/repro_snapshot.rs` diffs this byte-for-byte against the
 /// checked-in ci-scale golden.
-pub fn latency_report(
-    scale: Scale,
-    all: &[Arc<dyn Workload>],
-    jobs: usize,
-    m: &MatrixRecords,
-) -> String {
-    format!("{}\n\n{}", latency_sweep(scale, all, jobs), latency_attribution(m))
+pub fn latency_report(s: &mut Session, all: &[Arc<dyn Workload>], m: &MatrixRecords) -> String {
+    format!("{}\n\n{}", latency_sweep(s, all), latency_attribution(m))
 }
 
 /// The complete `repro all` text report: every section in order, each
-/// followed by a blank line. `all` is the seed-0 suite on the
-/// `programs` path that the matrix `m` swept, and every study reruns
-/// its workloads; Figure 2 renders `footprints`, the suite's analyses
-/// the sweep document also carries. The `repro` binary prints exactly
-/// this string, and `tests/repro_snapshot.rs` diffs it byte-for-byte
-/// against the checked-in ci-scale golden — one definition, no drift.
+/// followed by a blank line. `all` is the session's seed-0 suite, whose
+/// matrix `m` the session has already swept; every study runs its cells
+/// through `s`, which serves the ones the matrix or an earlier study
+/// already ran. Figure 2 renders `footprints`, the suite's analyses the
+/// sweep document also carries. The `repro` binary prints exactly this
+/// string, and `tests/repro_snapshot.rs` diffs it byte-for-byte against
+/// the checked-in ci-scale golden — one definition, no drift.
 pub fn full_report(
-    scale: Scale,
-    programs: ProgramPath,
+    s: &mut Session,
     all: &[Arc<dyn Workload>],
-    jobs: usize,
     m: &MatrixRecords,
     footprints: &[FootprintAnalysis],
 ) -> String {
+    let scale = s.scale;
     let sections = [
         table1(),
         table2(scale, all),
@@ -1003,17 +925,17 @@ pub fn full_report(
         fig8(m),
         fig9(m),
         locality(m),
-        latency_sweep(scale, all, jobs),
-        timeline(scale, all, jobs),
-        variance(scale, programs, all, jobs),
-        sweep_cache(scale, all, jobs),
-        generality(scale, all, jobs),
-        overhead(all, jobs),
-        ablate(scale, all, jobs),
+        latency_sweep(s, all),
+        timeline(scale, all, s.jobs),
+        variance(s, all),
+        sweep_cache(s, all),
+        generality(s, all),
+        overhead(s, all),
+        ablate(s, all),
     ];
     let mut out = String::new();
-    for s in sections {
-        out.push_str(&s);
+    for section in sections {
+        out.push_str(&section);
         out.push_str("\n\n");
     }
     out

@@ -2,13 +2,14 @@
 //!
 //! Each function regenerates one table or figure of the paper as a
 //! formatted text report (see DESIGN.md for the experiment index). The
-//! `repro` binary exposes them as subcommands, and every matrix
-//! subcommand runs the evaluation matrix through the one resilient
-//! sweep ([`SweepDoc::build_matrix`]). Wall-clock throughput is
-//! measured by the separate `perfbench` package at the repository root.
+//! `repro` binary exposes them as subcommands, and every simulation a
+//! report runs, matrix or study, is a cell of one [`Session`] over the
+//! resilient sweep. Wall-clock throughput is measured by the separate
+//! `perfbench` package at the repository root.
 //!
 //! * [`sweep`] — work-queue executor fanning independent simulations
-//!   over cores, plus the `repro.json` document it emits.
+//!   over cores, the sweep cell, and the `repro.json` document.
+//! * [`session`] — one report run's cells, deduplicated by cell key.
 //! * [`resilience`] — crash-safe sweep execution: content-addressed cell
 //!   cache over an append-only journal, per-cell supervision
 //!   (deadline/retry/backoff), and harness-level fault injection.
@@ -25,6 +26,7 @@ pub mod cli;
 pub mod experiments;
 pub mod fig4;
 pub mod resilience;
+pub mod session;
 pub mod shapes;
 pub mod sweep;
 
@@ -35,9 +37,10 @@ pub use experiments::{
 };
 pub use fig4::figure4;
 pub use resilience::{
-    cell_key, cell_key_with_fingerprint, run_matrix_cells_resilient, CellCache, CellFailure,
-    FailureCause, HarnessFault, HarnessFaultPlan, Resilience, ResilienceReport, CODE_FINGERPRINT,
+    cell_key, cell_key_with_fingerprint, run_matrix_cells_resilient, CellCache, HarnessFault,
+    HarnessFaultPlan, Resilience, ResilienceReport, CODE_FINGERPRINT,
 };
+pub use session::Session;
 pub use shapes::{
     check_document, evaluate_shapes, render_check_report, render_shape_report, CheckVerdict,
     ShapeOutcome,

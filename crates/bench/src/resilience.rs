@@ -1,37 +1,25 @@
-//! Crash-safe, resumable sweep execution.
-//!
-//! This layer wraps the raw matrix executor ([`crate::sweep::run_cells`])
-//! with the three robustness mechanisms ROADMAP item 3 needs before the
-//! sweep can be served incrementally:
+//! Crash-safe, resumable sweep execution: [`run_matrix_cells_resilient`]
+//! runs every simulation cell of a report, matrix and study alike, over
+//! the raw executor ([`crate::sweep::run_cells`]) with three mechanisms:
 //!
 //! * **Content-addressed cell cache** — every completed cell is keyed by
-//!   [`cell_key`] (a hash over workload id, launch model, scheduler, GPU
-//!   config, sweep tag, schema version, and the crate's
-//!   [`CODE_FINGERPRINT`]) and persisted to an append-only
-//!   [`sim_metrics::journal`] under `--cache-dir`. A re-run — including
-//!   one resumed after a SIGKILL — looks every cell up first and
-//!   recomputes only misses. Damaged journal tails are detected by
-//!   checksum, logged, truncated away, and recomputed: a corrupt record
-//!   is never served.
-//! * **Per-cell supervision** — each cell runs under `catch_unwind` with
-//!   the forward-progress watchdog tightened to `--cell-deadline`
-//!   simulated cycles ([`gpu_sim::config::GpuConfig::tighten_watchdog`]).
-//!   Panics, deadline trips, and structured `SimError`s become
-//!   [`CellFailure`] records; failed cells retry up to `--retries` times
-//!   with deterministic exponential backoff before being recorded as
-//!   permanent failures in the sweep document.
+//!   [`cell_key`] and appended to a checksummed [`sim_metrics::journal`]
+//!   under `--cache-dir`. A re-run, including one resumed after a
+//!   SIGKILL, looks every cell up first and computes only the misses; a
+//!   damaged journal tail is detected, truncated away and recomputed,
+//!   never served.
+//! * **Per-cell supervision** — each attempt runs under `catch_unwind`
+//!   with the forward-progress watchdog tightened to `--cell-deadline`
+//!   cycles; a failed cell retries up to `--retries` times with
+//!   deterministic backoff, then becomes a [`SweepFailure`].
 //! * **Harness-level fault injection** — a seed-derived
-//!   [`HarnessFaultPlan`] mirrors `gpu_sim::fault` one layer up: inject
-//!   a panic into a cell, wedge a cell (every SMX killed forever, so the
-//!   deadline machinery must catch it), truncate the journal mid-record,
-//!   or flip a checksum byte. The `tests/sweep_resilience.rs` suite
-//!   drives these to prove kill-and-resume byte-identity, corruption
-//!   recomputation, and jobs-count-invariant retries.
+//!   [`HarnessFaultPlan`] panics or wedges cells and truncates or
+//!   corrupts the journal, which `tests/sweep_resilience.rs` uses to
+//!   prove resume byte-identity, recomputation and jobs-invariant
+//!   retries.
 //!
-//! With a default [`Resilience`] (no cache dir, zero retries, no faults,
-//! no deadline) the behavior — including every stderr progress line and
-//! failure message — is identical to the pre-resilience executor, which
-//! is what keeps the default `repro all` artifact byte-stable.
+//! With a default [`Resilience`] nothing of this is active, and the
+//! executor's records, failures and stderr are those of a plain sweep.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,13 +27,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use dynpar::LaunchLatency;
 use gpu_sim::config::GpuConfig;
-use gpu_sim::error::SimError;
 use gpu_sim::fault::{Fault, FaultPlan};
 use gpu_sim::lowered::ProgramMemo;
 use gpu_sim::types::SmxId;
-use sim_metrics::harness::{run_with_latency_faulted, RunRecord};
+use sim_metrics::harness::{run_built, RunRecord};
 use sim_metrics::journal::{fnv1a64, JournalWriter};
 use sim_metrics::json::{parse, run_from_json, run_to_json, Json};
 
@@ -70,14 +56,18 @@ const WEDGE_WATCHDOG: u64 = 20_000;
 /// worker for minutes.
 const MAX_BACKOFF_MS: u64 = 2_000;
 
-/// The content address of one matrix cell under one sweep
-/// configuration, as 32 hex digits (two independent FNV-1a 64 passes).
-/// Everything that can change a cell's statistics is folded in: the
-/// workload/model/scheduler ids, the workload's program identity
-/// (`generator`, or a digest of its DSL source), the sweep tag (scale +
-/// input seed), the full `GpuConfig` (engine mode, profiling flags,
-/// limits — via its `Debug` rendering), the simulator-level fault seed
-/// if any, the `repro.json` schema version, and [`CODE_FINGERPRINT`].
+/// The content address of one cell under one sweep configuration, as
+/// 32 hex digits (two independent FNV-1a 64 passes). Everything that
+/// can change a cell's statistics is folded in, each axis by its
+/// resolved value: the workload/model/scheduler ids, the workload's
+/// program identity (`generator`, or a digest of its DSL source), the
+/// launch latency, the DTBL table size, the LaPerm configuration, the
+/// sweep tag (scale + input seed), the cell's full `GpuConfig` (the
+/// sweep's plus the cell's machine change: engine mode, profiling
+/// flags, limits — via its `Debug` rendering), the simulator-level
+/// fault seed if any, the `repro.json` schema version, and
+/// [`CODE_FINGERPRINT`]. A study point set to the matrix defaults
+/// therefore keys as the matrix cell it equals.
 pub fn cell_key(
     cell: &MatrixCell,
     cfg: &GpuConfig,
@@ -97,9 +87,12 @@ pub fn cell_key_with_fingerprint(
     sim_fault_seed: Option<u64>,
     fingerprint: &str,
 ) -> String {
+    let cfg = cell.config(cfg);
+    let (latency, table, laperm) = cell.resolved(&cfg);
     let canonical = format!(
         "schema=v{}|code={fingerprint}|sweep={sweep_tag}|workload={}|programs={}|model={}\
-         |scheduler={}|sim_fault={sim_fault_seed:?}|cfg={cfg:?}",
+         |latency={latency:?}|table={table:?}|scheduler={}|laperm={laperm:?}\
+         |sim_fault={sim_fault_seed:?}|cfg={cfg:?}",
         crate::sweep::SWEEP_SCHEMA_VERSION,
         cell.workload.full_name(),
         cell.workload.program_id(),
@@ -111,84 +104,6 @@ pub fn cell_key_with_fingerprint(
     // primitive, so unrelated cells cannot collide by accident.
     let hi = fnv1a64(format!("laperm-cell-salt|{canonical}").as_bytes());
     format!("{hi:016x}{lo:016x}")
-}
-
-/// Why one cell attempt (or a whole cell, after retries ran out)
-/// failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailureCause {
-    /// The cell panicked; the payload message is preserved.
-    Panic(String),
-    /// The per-cell deadline (forward-progress watchdog) fired.
-    Deadline {
-        /// The watchdog window that was armed, in simulated cycles.
-        window: u64,
-        /// Simulated cycle at which the watchdog fired.
-        cycle: u64,
-        /// The full structured error text (includes suspect TBs).
-        message: String,
-    },
-    /// The simulator returned a structured error other than a
-    /// watchdog trip.
-    Sim(String),
-}
-
-impl std::fmt::Display for FailureCause {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FailureCause::Panic(msg) => write!(f, "panic: {msg}"),
-            FailureCause::Deadline { window, cycle, .. } => {
-                write!(f, "deadline: no forward progress for {window} cycles (at cycle {cycle})")
-            }
-            FailureCause::Sim(msg) => write!(f, "sim error: {msg}"),
-        }
-    }
-}
-
-/// A structured per-cell failure: which cell, which configuration, how
-/// many attempts were spent, and why the last one failed. This is the
-/// supervised form of what used to be a bare panic string.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellFailure {
-    /// Index of the cell in the canonical matrix order.
-    pub cell_index: usize,
-    /// Workload display name.
-    pub workload: String,
-    /// Launch model name.
-    pub launch_model: String,
-    /// Scheduler name.
-    pub scheduler: String,
-    /// Attempts spent (1 = no retries were configured or needed).
-    pub attempts: u32,
-    /// Why the final attempt failed.
-    pub cause: FailureCause,
-}
-
-impl CellFailure {
-    /// The failure rendered the way the sweep document reports it. For
-    /// simulator errors this is the exact message the pre-resilience
-    /// executor produced, so default-path documents are byte-stable.
-    pub fn error_message(&self) -> String {
-        match &self.cause {
-            FailureCause::Panic(msg) => msg.clone(),
-            FailureCause::Deadline { message, .. } | FailureCause::Sim(message) => format!(
-                "{} under {}/{} failed: {message}",
-                self.workload, self.launch_model, self.scheduler
-            ),
-        }
-    }
-
-    /// Converts into the sweep document's failure row.
-    pub fn to_sweep_failure(&self) -> SweepFailure {
-        SweepFailure {
-            cell_index: self.cell_index,
-            workload: self.workload.clone(),
-            launch_model: self.launch_model.clone(),
-            scheduler: self.scheduler.clone(),
-            attempts: self.attempts,
-            error: self.error_message(),
-        }
-    }
 }
 
 /// One harness-level fault. The first two target cell execution; the
@@ -576,9 +491,6 @@ impl WorkloadMemos {
 /// # Errors
 ///
 /// Reports cache-directory and journal I/O errors at setup.
-// The worker closure's Err arm is a full CellFailure; it is built once
-// per *failed* cell, so its size is irrelevant next to a simulation.
-#[allow(clippy::result_large_err)]
 pub fn run_matrix_cells_resilient(
     cells: &[MatrixCell],
     jobs: usize,
@@ -594,8 +506,6 @@ pub fn run_matrix_cells_resilient(
     if let Some(deadline) = res.cell_deadline {
         run_cfg.tighten_watchdog(deadline);
     }
-    let mut wedge_cfg = run_cfg.clone();
-    wedge_cfg.tighten_watchdog(WEDGE_WATCHDOG);
 
     let total = cells.len();
     let done = AtomicUsize::new(0);
@@ -623,15 +533,16 @@ pub fn run_matrix_cells_resilient(
             misses.fetch_add(1, Ordering::Relaxed);
         }
 
-        let memo = memos.acquire(cell, &run_cfg);
+        let cell_cfg = cell.config(&run_cfg);
+        let memo = memos.acquire(cell, &cell_cfg);
         let total_attempts = res.retries.saturating_add(1);
-        let mut last_cause = FailureCause::Panic("cell never attempted".to_string());
+        let mut error = "cell never attempted".to_string();
         for attempt in 1..=total_attempts {
             if attempt > 1 {
                 retried.fetch_add(1, Ordering::Relaxed);
                 backoff(res.backoff_ms, attempt);
             }
-            match attempt_cell(cell, i, attempt, &run_cfg, &wedge_cfg, res, &memo) {
+            match attempt_cell(cell, i, attempt, &cell_cfg, res, &memo) {
                 Ok(record) => {
                     if let (Some(cache), Some(key)) = (&cache, &key) {
                         if let Err(e) = cache.commit(key, &record) {
@@ -654,27 +565,20 @@ pub fn run_matrix_cells_resilient(
                     );
                     return Ok(record);
                 }
-                Err(cause) => {
+                Err(e) => {
                     if attempt < total_attempts {
                         eprintln!(
-                            "retrying {} {} {} (attempt {attempt} of {total_attempts}): {cause}",
+                            "retrying {} {} {} (attempt {attempt} of {total_attempts}): {e}",
                             cell.workload.full_name(),
                             cell.model,
                             cell.scheduler
                         );
                     }
-                    last_cause = cause;
+                    error = e;
                 }
             }
         }
-        Err(CellFailure {
-            cell_index: i,
-            workload: cell.workload.full_name(),
-            launch_model: cell.model.name().to_string(),
-            scheduler: cell.scheduler.name().to_string(),
-            attempts: total_attempts,
-            cause: last_cause,
-        })
+        Err(failure(i, cell, total_attempts, error))
     };
     let indices: Vec<usize> = (0..cells.len()).collect();
     let results = run_cells(&indices, jobs, |&i| {
@@ -688,20 +592,10 @@ pub fn run_matrix_cells_resilient(
     for (i, result) in results.into_iter().enumerate() {
         match result {
             Ok(Ok(record)) => records.push(record),
-            Ok(Err(failure)) => failures.push(failure.to_sweep_failure()),
-            // The supervision loop itself panicked — nothing structured
-            // survived, so fall back to the raw message.
-            Err(error) => {
-                let cell = &cells[i];
-                failures.push(SweepFailure {
-                    cell_index: i,
-                    workload: cell.workload.full_name(),
-                    launch_model: cell.model.name().to_string(),
-                    scheduler: cell.scheduler.name().to_string(),
-                    attempts: 1,
-                    error,
-                });
-            }
+            Ok(Err(f)) => failures.push(f),
+            // The supervision loop itself panicked: only its message
+            // survived.
+            Err(error) => failures.push(failure(i, &cells[i], 1, error)),
         }
     }
     let (programs_built, programs_served) = memos.totals();
@@ -718,49 +612,57 @@ pub fn run_matrix_cells_resilient(
     Ok((SweepOutcome { records, failures }, report))
 }
 
-/// One supervised attempt at one cell: harness faults first, then the
-/// simulator (with the composed simulator-level fault plan, if any),
-/// with panics caught and `SimError`s classified.
+/// The failure row of cell `index` after `attempts` attempts.
+fn failure(index: usize, cell: &MatrixCell, attempts: u32, error: String) -> SweepFailure {
+    SweepFailure {
+        cell_index: index,
+        workload: cell.workload.full_name(),
+        launch_model: cell.model.name().to_string(),
+        scheduler: cell.scheduler.name().to_string(),
+        attempts,
+        error,
+    }
+}
+
+/// One supervised attempt at one cell on its configuration `cfg`:
+/// harness faults first, then the simulator (with the composed
+/// simulator-level fault plan, if any), with panics caught. The error
+/// is the panic message, or the `SimError` (a deadline trip reads
+/// "no forward progress for N cycles") prefixed with the cell.
 fn attempt_cell(
     cell: &MatrixCell,
     index: usize,
     attempt: u32,
-    run_cfg: &GpuConfig,
-    wedge_cfg: &GpuConfig,
+    cfg: &GpuConfig,
     res: &Resilience,
     memo: &Arc<ProgramMemo>,
-) -> Result<RunRecord, FailureCause> {
+) -> Result<RunRecord, String> {
     let plan = res.faults.as_ref();
     let result = catch_unwind(AssertUnwindSafe(|| {
         if plan.is_some_and(|p| p.panics(index, attempt)) {
             panic!("injected harness panic: cell {index} attempt {attempt}");
         }
+        let mut wedge_cfg;
         let (cfg, fault_plan) = if plan.is_some_and(|p| p.wedges(index, attempt)) {
-            (wedge_cfg, Some(kill_all_smxs_plan(wedge_cfg)))
+            wedge_cfg = cfg.clone();
+            wedge_cfg.tighten_watchdog(WEDGE_WATCHDOG);
+            (&wedge_cfg, Some(kill_all_smxs_plan(&wedge_cfg)))
         } else {
-            (run_cfg, res.sim_fault_seed.map(|s| sim_plan_for_cell(s, index, run_cfg)))
+            (cfg, res.sim_fault_seed.map(|s| sim_plan_for_cell(s, index, cfg)))
         };
-        run_with_latency_faulted(
-            &cell.workload,
-            cell.model,
-            LaunchLatency::default_for(cell.model),
-            cell.scheduler,
-            cfg,
-            fault_plan,
-            Some(memo),
-        )
+        let (launch, scheduler) = cell.build(cfg);
+        let name = cell.scheduler.name();
+        run_built(&cell.workload, launch, scheduler, name, cfg, fault_plan, Some(memo))
     }));
     match result {
         Ok(Ok(record)) => Ok(record),
-        Ok(Err(e)) => match &e {
-            SimError::NoForwardProgress { window, cycle, .. } => Err(FailureCause::Deadline {
-                window: *window,
-                cycle: *cycle,
-                message: e.to_string(),
-            }),
-            _ => Err(FailureCause::Sim(e.to_string())),
-        },
-        Err(payload) => Err(FailureCause::Panic(panic_message(payload.as_ref()))),
+        Ok(Err(e)) => Err(format!(
+            "{} under {}/{} failed: {e}",
+            cell.workload.full_name(),
+            cell.model,
+            cell.scheduler
+        )),
+        Err(payload) => Err(panic_message(payload.as_ref())),
     }
 }
 
@@ -873,6 +775,82 @@ mod tests {
         let mut other_cfg = cfg.clone();
         other_cfg.profile_locality = !cfg.profile_locality;
         assert_ne!(key(&cells[0]), cell_key(&cells[0], &other_cfg, "tiny/0", None));
+
+        // The study axes, one at a time, each away from one matrix cell
+        // (workload 0 under DTBL and Adaptive-Bind): every key differs
+        // from the matrix cell's and from every other one.
+        use dynpar::{LaunchLatency, LaunchModelKind};
+        use gpu_sim::config::WarpSchedPolicy;
+        use laperm::LaPermConfig;
+        use sim_metrics::harness::SchedulerKind;
+
+        use crate::sweep::GpuOverride;
+        let base = cells[7].clone();
+        assert_eq!(
+            (base.model, base.scheduler),
+            (LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind)
+        );
+        let laperm = LaPermConfig::for_gpu(&cfg);
+        let dsl = crate::sweep::suite_for_path(Scale::Tiny, 0, crate::sweep::ProgramPath::Dsl)
+            .unwrap()
+            .into_iter()
+            .find(|w| w.full_name() == base.workload.full_name())
+            .unwrap();
+        let with = |change: fn(&mut MatrixCell)| {
+            let mut cell = base.clone();
+            change(&mut cell);
+            cell
+        };
+        let gpu = |change| MatrixCell { gpu: Some(change), ..base.clone() };
+        let tuned = |laperm| MatrixCell { laperm: Some(laperm), ..base.clone() };
+        let varied = [
+            MatrixCell { workload: cells[8].workload.clone(), ..base.clone() },
+            MatrixCell { workload: dsl, ..base.clone() },
+            with(|c| c.model = LaunchModelKind::Cdp),
+            with(|c| c.latency = Some(LaunchLatency::uniform(500))),
+            with(|c| c.table_entries = Some(32)),
+            with(|c| c.scheduler = SchedulerKind::RoundRobin),
+            with(|c| c.scheduler = SchedulerKind::TbPri),
+            with(|c| c.scheduler = SchedulerKind::SmxBind),
+            with(|c| c.scheduler = SchedulerKind::BindOnly),
+            tuned(laperm.with_max_level(2)),
+            tuned(laperm.with_cluster_size(2)),
+            tuned(laperm.with_steal_min_free_slots(4)),
+            tuned(laperm.with_throttle_tbs(8)),
+            gpu(GpuOverride::L1Bytes(16 * 1024)),
+            gpu(GpuOverride::L2Bytes(768 * 1024)),
+            gpu(GpuOverride::WarpScheduler(WarpSchedPolicy::Lrr)),
+            gpu(GpuOverride::MaxwellLike),
+        ];
+        let mut keys: Vec<String> = varied.iter().map(key).collect();
+        keys.push(key(&base));
+        keys.push(cell_key(&base, &cfg, "tiny/11", None));
+        keys.push(cell_key(&base, &cfg, "tiny/0", Some(7)));
+        let distinct = keys.len();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), distinct, "two cells with different settings share a key");
+
+        // The settings a study names that are the matrix defaults key
+        // as the matrix cell itself: that is what lets a session serve
+        // such study points from the matrix.
+        let defaults = [
+            tuned(laperm.with_steal_min_free_slots(0)),
+            tuned(laperm.with_cluster_size(1)),
+            tuned(laperm.with_max_level(4)),
+            with(|c| c.table_entries = Some(128)),
+            with(|c| c.latency = Some(LaunchLatency::default_for(LaunchModelKind::Dtbl))),
+            gpu(GpuOverride::L1Bytes(32 * 1024)),
+            gpu(GpuOverride::L2Bytes(1536 * 1024)),
+            gpu(GpuOverride::WarpScheduler(WarpSchedPolicy::Gto)),
+        ];
+        for (i, cell) in defaults.iter().enumerate() {
+            assert_eq!(
+                key(cell),
+                key(&base),
+                "default setting {i} keys apart from the matrix cell"
+            );
+        }
     }
 
     #[test]

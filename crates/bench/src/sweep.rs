@@ -15,12 +15,16 @@
 //! `repro all` emits alongside the text report and that `repro check`
 //! evaluates shape assertions against (see [`crate::shapes`]).
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dynpar::LaunchModelKind;
-use gpu_sim::config::{EngineMode, GpuConfig};
+use dynpar::{DtblModel, LaunchLatency, LaunchModelKind};
+use gpu_sim::config::{EngineMode, GpuConfig, WarpSchedPolicy};
+use gpu_sim::launch::DynamicLaunchModel;
+use gpu_sim::tb_sched::TbScheduler;
+use laperm::LaPermConfig;
 use sim_metrics::harness::{RunRecord, SchedulerKind};
 use sim_metrics::json::{parse, run_from_json, run_to_json, Json};
 use sim_metrics::FootprintAnalysis;
@@ -144,7 +148,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One cell of the evaluation matrix.
+/// One simulation of a sweep: a cell of the evaluation matrix, or a
+/// study point that varies more axes. An axis left `None` takes the
+/// matrix default, and [`crate::cell_key`] folds in resolved values, so
+/// a study point set to the defaults keys as the matrix cell it equals.
 #[derive(Clone)]
 pub struct MatrixCell {
     /// The workload (generated from the sweep's seed).
@@ -153,6 +160,82 @@ pub struct MatrixCell {
     pub model: LaunchModelKind,
     /// Scheduler under test.
     pub scheduler: SchedulerKind,
+    /// Device-launch latency (default: the model's).
+    pub latency: Option<LaunchLatency>,
+    /// DTBL on-chip aggregation-table entries (default: 128).
+    pub table_entries: Option<usize>,
+    /// LaPerm configuration (default: `LaPermConfig::for_gpu`).
+    pub laperm: Option<LaPermConfig>,
+    /// A machine change on top of the sweep configuration.
+    pub gpu: Option<GpuOverride>,
+}
+
+/// A change a study cell makes to the sweep's machine. The sweep's own
+/// settings (engine, profiling, watchdog) carry over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GpuOverride {
+    /// L1 bytes per SMX.
+    L1Bytes(u32),
+    /// Total L2 bytes.
+    L2Bytes(u32),
+    /// Warp scheduling policy.
+    WarpScheduler(WarpSchedPolicy),
+    /// The machine of [`GpuConfig::maxwell_like`].
+    MaxwellLike,
+}
+
+impl MatrixCell {
+    /// The matrix cell `w × model × scheduler`, every other axis default.
+    pub fn new(w: Arc<dyn Workload>, model: LaunchModelKind, scheduler: SchedulerKind) -> Self {
+        let (latency, table_entries, laperm, gpu) = (None, None, None, None);
+        MatrixCell { workload: w, model, scheduler, latency, table_entries, laperm, gpu }
+    }
+
+    /// The configuration the cell runs under: `sweep` plus its change.
+    pub fn config<'c>(&self, sweep: &'c GpuConfig) -> Cow<'c, GpuConfig> {
+        let Some(change) = self.gpu else { return Cow::Borrowed(sweep) };
+        let cfg = sweep.clone();
+        Cow::Owned(match change {
+            GpuOverride::L1Bytes(l1_bytes) => GpuConfig { l1_bytes, ..cfg },
+            GpuOverride::L2Bytes(l2_bytes) => GpuConfig { l2_bytes, ..cfg },
+            GpuOverride::WarpScheduler(warp_scheduler) => GpuConfig { warp_scheduler, ..cfg },
+            GpuOverride::MaxwellLike => GpuConfig {
+                engine_mode: cfg.engine_mode,
+                profile_locality: cfg.profile_locality,
+                profile_engine: cfg.profile_engine,
+                profile_latency: cfg.profile_latency,
+                watchdog_window: cfg.watchdog_window,
+                ..GpuConfig::maxwell_like()
+            },
+        })
+    }
+
+    /// The cell's launch latency, DTBL table size (`None` under CDP) and
+    /// LaPerm configuration (`None` for the schedulers that take none),
+    /// resolved on its machine `cfg`: what [`crate::cell_key`] folds in.
+    pub fn resolved(
+        &self,
+        cfg: &GpuConfig,
+    ) -> (LaunchLatency, Option<usize>, Option<LaPermConfig>) {
+        let latency = self.latency.unwrap_or_else(|| LaunchLatency::default_for(self.model));
+        let table = (self.model == LaunchModelKind::Dtbl)
+            .then(|| self.table_entries.unwrap_or(DtblModel::DEFAULT_ONCHIP_CAPACITY));
+        let laperm = self.laperm.unwrap_or_else(|| LaPermConfig::for_gpu(cfg));
+        (latency, table, self.scheduler.policy().map(|_| laperm))
+    }
+
+    /// The cell's launch model and TB scheduler on its machine `cfg`,
+    /// built fresh for one run.
+    pub fn build(&self, cfg: &GpuConfig) -> (Box<dyn DynamicLaunchModel>, Box<dyn TbScheduler>) {
+        let (latency, table, laperm) = self.resolved(cfg);
+        let launch: Box<dyn DynamicLaunchModel> = match table {
+            Some(n) => {
+                Box::new(DtblModel::with_table(latency, n, DtblModel::DEFAULT_OVERFLOW_PENALTY))
+            }
+            None => self.model.build(latency),
+        };
+        (launch, self.scheduler.build_with(laperm.unwrap_or_else(|| LaPermConfig::for_gpu(cfg))))
+    }
 }
 
 /// A per-cell failure: which cell (by canonical matrix index), the
@@ -199,7 +282,7 @@ pub fn matrix_cells_for(workloads: &[Arc<dyn Workload>]) -> Vec<MatrixCell> {
     for w in workloads {
         for model in LaunchModelKind::all() {
             for scheduler in SchedulerKind::all() {
-                cells.push(MatrixCell { workload: w.clone(), model, scheduler });
+                cells.push(MatrixCell::new(w.clone(), model, scheduler));
             }
         }
     }

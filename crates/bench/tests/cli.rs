@@ -88,3 +88,15 @@ fn sim_rejects_cache_sizes_whose_byte_count_overflows() {
     let (code, stderr) = run(env!("CARGO_BIN_EXE_laperm-sim"), &["--launch-latency", "4294967296"]);
     assert_eq!(code, Some(2), "{stderr}");
 }
+
+#[test]
+fn repro_exits_1_when_a_study_cell_fails() {
+    // A one-cycle deadline trips the watchdog in the study's cells,
+    // which used to panic (exit 101) outside the sweep.
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["overhead", "--scale", "tiny", "--jobs", "1", "--cell-deadline", "1"],
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("FAILED bfs-citation/dtbl/adaptive-bind"), "{stderr}");
+}

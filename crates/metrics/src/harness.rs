@@ -3,20 +3,21 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dynpar::{LaunchLatency, LaunchModelKind};
+use dynpar::LaunchModelKind;
 use gpu_sim::cache::{ReuseClass, NUM_REUSE_CLASSES};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::engine::Simulator;
 use gpu_sim::error::SimError;
 use gpu_sim::fault::FaultPlan;
+use gpu_sim::launch::DynamicLaunchModel;
 use gpu_sim::lowered::ProgramMemo;
 use gpu_sim::stats::{LatencyStats, Pow2Hist, SimStats, StallBreakdown, NUM_WAKE_SOURCES};
 use gpu_sim::tb_sched::{RoundRobinScheduler, TbScheduler};
-use laperm::{LaPermConfig, LaPermPolicy, LaPermScheduler};
+use laperm::{BindOnlyScheduler, LaPermConfig, LaPermPolicy, LaPermScheduler};
 use workloads::{SharedSource, Workload};
 
-/// Which TB scheduler a run uses: the baseline or one of the three
-/// LaPerm policies.
+/// Which TB scheduler a run uses: the baseline, one of the three
+/// LaPerm policies, or the binding-only decomposition point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Baseline round-robin (Section II-B).
@@ -27,10 +28,14 @@ pub enum SchedulerKind {
     SmxBind,
     /// LaPerm Adaptive-Bind.
     AdaptiveBind,
+    /// FCFS order with parent-SMX placement (`laperm::BindOnlyScheduler`):
+    /// the mechanism-decomposition ablation, not one of the paper's
+    /// figure columns, so [`SchedulerKind::all`] leaves it out.
+    BindOnly,
 }
 
 impl SchedulerKind {
-    /// All four schedulers, in the paper's figure order.
+    /// The paper's four schedulers, in figure order.
     pub fn all() -> [SchedulerKind; 4] {
         [
             SchedulerKind::RoundRobin,
@@ -47,21 +52,33 @@ impl SchedulerKind {
             SchedulerKind::TbPri => "tb-pri",
             SchedulerKind::SmxBind => "smx-bind",
             SchedulerKind::AdaptiveBind => "adaptive-bind",
+            SchedulerKind::BindOnly => "bind-only",
+        }
+    }
+
+    /// The LaPerm policy this scheduler runs, or `None` for the two
+    /// schedulers that take no [`LaPermConfig`].
+    pub fn policy(self) -> Option<LaPermPolicy> {
+        match self {
+            SchedulerKind::RoundRobin | SchedulerKind::BindOnly => None,
+            SchedulerKind::TbPri => Some(LaPermPolicy::TbPri),
+            SchedulerKind::SmxBind => Some(LaPermPolicy::SmxBind),
+            SchedulerKind::AdaptiveBind => Some(LaPermPolicy::AdaptiveBind),
         }
     }
 
     /// Builds the scheduler for a GPU configuration.
     pub fn build(self, cfg: &GpuConfig) -> Box<dyn TbScheduler> {
-        let laperm_cfg = LaPermConfig::for_gpu(cfg);
-        match self {
-            SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::new()),
-            SchedulerKind::TbPri => Box::new(LaPermScheduler::new(LaPermPolicy::TbPri, laperm_cfg)),
-            SchedulerKind::SmxBind => {
-                Box::new(LaPermScheduler::new(LaPermPolicy::SmxBind, laperm_cfg))
-            }
-            SchedulerKind::AdaptiveBind => {
-                Box::new(LaPermScheduler::new(LaPermPolicy::AdaptiveBind, laperm_cfg))
-            }
+        self.build_with(LaPermConfig::for_gpu(cfg))
+    }
+
+    /// Builds the scheduler with an explicit LaPerm configuration (which
+    /// round-robin and bind-only ignore).
+    pub fn build_with(self, laperm_cfg: LaPermConfig) -> Box<dyn TbScheduler> {
+        match (self, self.policy()) {
+            (_, Some(policy)) => Box::new(LaPermScheduler::new(policy, laperm_cfg)),
+            (SchedulerKind::BindOnly, None) => Box::new(BindOnlyScheduler::new()),
+            (_, None) => Box::new(RoundRobinScheduler::new()),
         }
     }
 }
@@ -177,7 +194,7 @@ impl PartialEq for HostCost {
 }
 
 /// The measurements of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunRecord {
     /// Workload display name.
     pub workload: String,
@@ -316,48 +333,36 @@ pub fn run_once(
     scheduler: SchedulerKind,
     cfg: &GpuConfig,
 ) -> Result<RunRecord, SimError> {
-    run_with_latency(workload, model, LaunchLatency::default_for(model), scheduler, cfg)
+    let launch = model.build_default();
+    run_built(workload, launch, scheduler.build(cfg), scheduler.name(), cfg, None, None)
 }
 
-/// [`run_once`] with an explicit launch latency (for sensitivity sweeps).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the engine.
-pub fn run_with_latency(
-    workload: &Arc<dyn Workload>,
-    model: LaunchModelKind,
-    latency: LaunchLatency,
-    scheduler: SchedulerKind,
-    cfg: &GpuConfig,
-) -> Result<RunRecord, SimError> {
-    run_with_latency_faulted(workload, model, latency, scheduler, cfg, None, None)
-}
-
-/// [`run_with_latency`] with an optional simulator-level fault plan
-/// attached before the host kernels launch, and an optional program
-/// memo shared with the workload's other cells. This is how the
-/// resilient sweep layer composes the in-simulator fault injection with
-/// its own harness-level plan (the simulator sees exactly the same
-/// faults it would in a standalone liveness run) and how it lowers each
-/// distinct TB program once per workload instead of once per cell.
+/// Runs `workload` to completion on `cfg` under an already built launch
+/// model and TB scheduler, recording the run under `scheduler_name`,
+/// with an optional simulator-level fault plan attached before the host
+/// kernels launch and an optional program memo shared with the
+/// workload's other runs. This is the one place a run builds its
+/// simulator: the sweep executor calls it for every cell, composing its
+/// harness-level faults with the in-simulator ones (the simulator sees
+/// exactly the faults it would in a standalone liveness run) and
+/// lowering each distinct TB program once per workload.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from the engine (including the
 /// structured liveness errors a fault plan can force).
-pub fn run_with_latency_faulted(
+pub fn run_built(
     workload: &Arc<dyn Workload>,
-    model: LaunchModelKind,
-    latency: LaunchLatency,
-    scheduler: SchedulerKind,
+    launch: Box<dyn DynamicLaunchModel>,
+    scheduler: Box<dyn TbScheduler>,
+    scheduler_name: &str,
     cfg: &GpuConfig,
     fault_plan: Option<FaultPlan>,
     programs: Option<&Arc<ProgramMemo>>,
 ) -> Result<RunRecord, SimError> {
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(workload.clone())))
-        .with_scheduler(scheduler.build(cfg))
-        .with_launch_model(model.build(latency));
+        .with_scheduler(scheduler)
+        .with_launch_model(launch);
     if let Some(plan) = fault_plan {
         sim = sim.with_fault_plan(plan);
     }
@@ -373,7 +378,7 @@ pub fn run_with_latency_faulted(
     let mut record = RunRecord::from_stats(&workload.full_name(), &stats);
     // Use the harness's short scheduler labels in figures ("tb-pri"
     // rather than the engine's "laperm-tb-pri").
-    record.scheduler = scheduler.name().to_string();
+    record.scheduler = scheduler_name.to_string();
     record.host.ns = host_ns;
     Ok(record)
 }

@@ -9,7 +9,8 @@
 
 use dynpar::{LaunchLatency, LaunchModelKind};
 use gpu_sim::config::GpuConfig;
-use sim_metrics::harness::{run_with_latency, SchedulerKind};
+use laperm_bench::sweep::{default_jobs, run_matrix_cells, MatrixCell};
+use sim_metrics::harness::SchedulerKind;
 use sim_metrics::report::Table;
 use workloads::{suite, Scale};
 
@@ -20,28 +21,24 @@ fn main() {
         eprintln!("unknown workload {target}");
         std::process::exit(1);
     });
-    let cfg = GpuConfig::kepler_k20c();
 
     println!("workload: {}, DTBL delivery, small scale\n", workload.full_name());
+    // One sweep cell per latency point and scheduler, RR then Adaptive-Bind.
+    let bases = [0u32, 250, 1000, 4000, 16000, 64000];
+    let cells: Vec<MatrixCell> = bases
+        .iter()
+        .flat_map(|&base| {
+            [SchedulerKind::RoundRobin, SchedulerKind::AdaptiveBind].map(|s| MatrixCell {
+                latency: Some(LaunchLatency::uniform(base)),
+                ..MatrixCell::new(workload.clone(), LaunchModelKind::Dtbl, s)
+            })
+        })
+        .collect();
+    let outcome = run_matrix_cells(&cells, default_jobs(), &GpuConfig::kepler_k20c());
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
     let mut t = Table::new(vec!["latency (cycles)", "rr IPC", "adaptive IPC", "gain"]);
-    for base in [0u32, 250, 1000, 4000, 16000, 64000] {
-        let latency = LaunchLatency::uniform(base);
-        let rr = run_with_latency(
-            workload,
-            LaunchModelKind::Dtbl,
-            latency,
-            SchedulerKind::RoundRobin,
-            &cfg,
-        )
-        .expect("rr run");
-        let ad = run_with_latency(
-            workload,
-            LaunchModelKind::Dtbl,
-            latency,
-            SchedulerKind::AdaptiveBind,
-            &cfg,
-        )
-        .expect("adaptive run");
+    for (base, pair) in bases.iter().zip(outcome.records.chunks(2)) {
+        let (rr, ad) = (&pair[0], &pair[1]);
         t.row(vec![
             base.to_string(),
             format!("{:.1}", rr.ipc),

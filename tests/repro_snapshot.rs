@@ -12,12 +12,13 @@
 //!  --json /tmp/repro.json > tests/golden/repro_ci.txt`
 //! and review the diff like any other code change.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gpu_sim::config::EngineMode;
 use laperm_bench::sweep::{footprint_analyses, sweep_config, FootprintRow};
 use laperm_bench::{
-    default_jobs, evaluate_shapes, full_report, MatrixRecords, ProgramPath, Resilience, SweepDoc,
+    default_jobs, evaluate_shapes, full_report, MatrixRecords, ProgramPath, Resilience, Session,
+    SweepDoc,
 };
 use sim_metrics::FootprintAnalysis;
 use workloads::{suite, Scale, Workload};
@@ -37,42 +38,51 @@ fn ci_suite() -> &'static AnalyzedSuite {
     })
 }
 
+/// A ci-scale document and the session that swept its matrix, which a
+/// report test continues with the report's studies, as `repro` does.
+struct Swept {
+    doc: SweepDoc,
+    session: Mutex<Session>,
+}
+
 /// The full ci-scale document over [`ci_suite`], swept as `repro all`
 /// (`profiled == false`) or `repro profile` (`true`) sweeps it.
-fn ci_sweep(profiled: bool) -> SweepDoc {
+fn ci_sweep(profiled: bool) -> Swept {
     let (all, footprints) = ci_suite();
     let cfg = sweep_config(EngineMode::Event, profiled);
-    let (mut doc, _) =
-        SweepDoc::build_matrix(Scale::Ci, 0, default_jobs(), &cfg, all, &Resilience::default())
-            .expect("ci sweep setup");
+    let mut session =
+        Session::new(Scale::Ci, ProgramPath::Generator, cfg, default_jobs(), Resilience::default());
+    let mut doc = session.matrix(all).expect("ci sweep setup");
     doc.footprints = footprints.iter().map(FootprintRow::from).collect();
-    doc
+    Swept { doc, session: Mutex::new(session) }
 }
 
-/// The ci-scale document, built once and shared by the plain-sweep
-/// tests here (each build is a full ci-scale sweep).
-fn ci_doc() -> &'static SweepDoc {
-    static DOC: OnceLock<SweepDoc> = OnceLock::new();
-    DOC.get_or_init(|| ci_sweep(false))
+/// The ci-scale sweep, built once and shared by the plain-sweep tests
+/// here (each build is a full ci-scale sweep).
+fn ci_swept() -> &'static Swept {
+    static SWEPT: OnceLock<Swept> = OnceLock::new();
+    SWEPT.get_or_init(|| ci_sweep(false))
 }
 
-/// The profiled ci-scale document, shared by the profile and latency
+/// The profiled ci-scale sweep, shared by the profile and latency
 /// tests.
-fn ci_profiled_doc() -> &'static SweepDoc {
-    static DOC: OnceLock<SweepDoc> = OnceLock::new();
-    DOC.get_or_init(|| ci_sweep(true))
+fn ci_profiled() -> &'static Swept {
+    static SWEPT: OnceLock<Swept> = OnceLock::new();
+    SWEPT.get_or_init(|| ci_sweep(true))
 }
 
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_report_matches_golden() {
     let golden = include_str!("golden/repro_ci.txt");
-    let doc = ci_doc();
+    let swept = ci_swept();
+    let doc = &swept.doc;
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
     let m = MatrixRecords::from_records(doc.records.clone());
     let (all, footprints) = ci_suite();
-    let current =
-        full_report(Scale::Ci, ProgramPath::Generator, all, default_jobs(), &m, footprints);
+    let mut session = swept.session.lock().expect("session lock");
+    let current = full_report(&mut session, all, &m, footprints);
+    assert!(session.failures().is_empty(), "study failures: {:?}", session.failures());
     assert_eq!(
         current, golden,
         "ci-scale reproduction report drifted from tests/golden/repro_ci.txt"
@@ -82,7 +92,7 @@ fn ci_scale_report_matches_golden() {
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_shapes_all_pass() {
-    let outcomes = evaluate_shapes(ci_doc());
+    let outcomes = evaluate_shapes(&ci_swept().doc);
     let failed: Vec<String> =
         outcomes.iter().filter(|o| !o.passed).map(|o| format!("{}: {}", o.id, o.detail)).collect();
     assert!(failed.is_empty(), "shape assertions failed at ci scale:\n{}", failed.join("\n"));
@@ -98,7 +108,7 @@ fn ci_scale_shapes_all_pass() {
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_profile_matches_golden() {
     let golden = include_str!("golden/repro_profile_ci.txt");
-    let doc = ci_profiled_doc();
+    let doc = &ci_profiled().doc;
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
 
     // The engine shape assertions bind on a profiled document.
@@ -124,7 +134,8 @@ fn ci_scale_profile_matches_golden() {
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_latency_matches_golden() {
     let golden = include_str!("golden/repro_latency_ci.txt");
-    let doc = ci_profiled_doc();
+    let swept = ci_profiled();
+    let doc = &swept.doc;
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
 
     // The latency shape assertions bind on a profiled document.
@@ -134,7 +145,8 @@ fn ci_scale_latency_matches_golden() {
     assert!(failed.is_empty(), "shape assertions failed on profiled doc:\n{}", failed.join("\n"));
 
     let m = MatrixRecords::from_records(doc.records.clone());
-    let current = laperm_bench::latency_report(Scale::Ci, &ci_suite().0, default_jobs(), &m);
+    let mut session = swept.session.lock().expect("session lock");
+    let current = laperm_bench::latency_report(&mut session, &ci_suite().0, &m);
     assert_eq!(
         current, golden,
         "ci-scale latency report drifted from tests/golden/repro_latency_ci.txt"

@@ -22,11 +22,13 @@
 use std::path::{Path, PathBuf};
 
 use gpu_sim::config::{EngineMode, GpuConfig};
-use laperm_bench::sweep::{matrix_cells, ProgramPath};
+use laperm_bench::sweep::{footprint_analyses, matrix_cells, sweep_config, ProgramPath};
 use laperm_bench::{
-    run_matrix_cells_resilient, CellCache, HarnessFault, HarnessFaultPlan, Resilience, SweepDoc,
+    full_report, run_matrix_cells_resilient, CellCache, HarnessFault, HarnessFaultPlan,
+    MatrixRecords, Resilience, Session, SweepDoc,
 };
-use workloads::Scale;
+use sim_metrics::harness::RunRecord;
+use workloads::{suite, Scale};
 
 /// The exact configuration `SweepDoc::build` hands the executor — cache
 /// keys fold the config in, so the pre-populated journal in the resume
@@ -99,6 +101,61 @@ fn kill_and_resume_repro_json_is_byte_identical() {
     assert_eq!(doc.to_json(), one_shot, "warm-cache repro.json differs from one-shot");
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Contract 1 covers the studies too: `full_report` rendered twice
+/// through sessions over one cache directory. The second session is
+/// served every matrix and study cell from the journal (0 misses) and
+/// renders the identical report.
+#[test]
+fn full_report_resumes_its_studies_from_the_cache() {
+    let dir = temp_dir("studies");
+    let all = suite(Scale::Tiny);
+    let footprints = footprint_analyses(&all, 2);
+    let render = || {
+        let cfg = sweep_config(EngineMode::Event, false);
+        let mut s = Session::new(Scale::Tiny, ProgramPath::Generator, cfg, 2, cached(&dir));
+        let doc = s.matrix(&all).expect("matrix");
+        assert!(doc.failures.is_empty(), "{:?}", doc.failures);
+        let text =
+            full_report(&mut s, &all, &MatrixRecords::from_records(doc.records), &footprints);
+        assert!(s.failures().is_empty(), "{:?}", s.failures());
+        (text, s.report().clone())
+    };
+    let (first, filled) = render();
+    assert_eq!(filled.cache_hits, 0);
+    assert!(filled.committed > 128, "no study cell reached the cache");
+    let (second, warm) = render();
+    assert_eq!(warm.cache_misses, 0, "a matrix or study cell missed the cache");
+    assert_eq!(warm.cache_hits, filled.committed);
+    assert_eq!(warm.committed, 0);
+    assert_eq!(second, first, "resumed report differs from the first");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A study cell that fails after its retries is reported once and reads
+/// as its names over zero measurements; a later batch naming the same
+/// cell is served that record instead of running the cell again.
+#[test]
+fn a_failed_study_cell_fails_once() {
+    let cells = matrix_cells(Scale::Tiny, 0);
+    let res = Resilience {
+        faults: Some(HarnessFaultPlan::new(vec![HarnessFault::PanicCell {
+            cell: 1,
+            attempts: u32::MAX,
+        }])),
+        ..Resilience::default()
+    };
+    let mut s = Session::new(Scale::Tiny, ProgramPath::Generator, doc_cfg(), 2, res);
+    let records = s.run(0, &cells[..2]);
+    assert!(records[0].cycles > 0);
+    assert_eq!(records[1].workload, cells[1].workload.full_name());
+    assert_eq!(records[1].cycles, 0);
+    assert_eq!(s.failures().len(), 1);
+    // Alone in a batch the cell would be index 0, which the plan spares.
+    let again: Vec<RunRecord> = s.run(0, &cells[1..2]);
+    assert_eq!(again[0].cycles, 0, "a failed cell ran again");
+    assert_eq!(s.failures().len(), 1);
 }
 
 /// Contract 2. Flipping a checksum byte mid-journal invalidates that
