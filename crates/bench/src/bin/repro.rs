@@ -8,6 +8,7 @@
 //! repro all|profile [the flags above] [--json FILE]
 //! repro check [--json FILE]
 //! repro dsl FILE.dsl [--jobs N] [--engine event|cycle-stepped]
+//!                    [--cache-dir DIR] [--retries N] [--cell-deadline CYCLES]
 //!
 //! experiments:
 //!   table1    GPU configuration (Table I)
@@ -54,17 +55,18 @@
 //! `--engine` selects the simulation engine (default: `event`, the
 //! discrete-event engine that skips idle cycles; `cycle-stepped` is the
 //! reference linear scan that steps every SMX on every cycle and never
-//! skips one). The CI `engine-equivalence` job runs `all` once per
-//! engine and diffs the two `repro.json` documents byte-for-byte.
+//! skips one). The CI `repro-gate` job reruns `all` under
+//! `cycle-stepped` and diffs its `repro.json` and text report
+//! byte-for-byte against the event engine's.
 //!
 //! `--programs` selects the program-generation path (default:
 //! generator). `dsl` serves every suite workload from its DSL port
 //! compiled to bytecode. Each invocation builds its suite once, on that
 //! path, and every section reads it: the matrix, Figure 2 and every
 //! study (`variance` builds its extra input seeds on the same path).
-//! Programs are byte-identical across paths, so the CI
-//! `dsl-differential` job runs `all` once per path and diffs the two
-//! `repro.json` documents and the two text reports byte-for-byte.
+//! Programs are byte-identical across paths, so the CI `repro-gate` job
+//! reruns `all` with `--programs dsl` and diffs its `repro.json` and
+//! text report byte-for-byte against the generator path's.
 //!
 //! Resilience flags (see docs/ARCHITECTURE.md, "Resilient sweeps"):
 //! `--cache-dir DIR` persists every completed cell to a checksummed
@@ -77,13 +79,15 @@
 //! `FAILED` line per failed cell on stderr, renders a `DEGRADED (k/N
 //! cells failed)` banner and failures table ahead of the report over
 //! the surviving cells, and exits 1; a failed study cell prints a
-//! `FAILED` line, reads as zero in its section, and exits 1 too. The
-//! `programs:` and `cell cache:` lines total the whole run. Without
-//! `--cache-dir`, output is
-//! byte-identical to the resilience-free executor. The undocumented
-//! `--kill-after-cells N` hard-kills the process after N cells of the
-//! run are committed to the cache — the CI `sweep-resilience` job's
-//! crash injection.
+//! `FAILED` line, reads as zero in its section, and exits 1 too. Each
+//! `FAILED` line names its cell by
+//! [`MatrixCell::label`](laperm_bench::sweep::MatrixCell::label), study
+//! axes included. `repro dsl` runs its cells as a study. The `programs:`
+//! and `cell cache:` lines total the whole run. Without `--cache-dir`,
+//! output is byte-identical to the resilience-free executor. The
+//! undocumented `--kill-after-cells N` hard-kills the process after N
+//! cells of the run are committed to the cache: the crash the CI
+//! `repro-gate` job resumes from.
 //!
 //! An unknown experiment or flag, a flag with no value, an operand after
 //! any experiment but `dsl`, `--json` on any experiment but `all`,
@@ -104,9 +108,7 @@ use std::sync::Arc;
 use gpu_sim::config::EngineMode;
 use laperm_bench::cli::{self, fail};
 use laperm_bench::experiments::render_fig2;
-use laperm_bench::sweep::{
-    footprint_analyses, matrix_cells_for, run_matrix_cells, sweep_config, FootprintRow,
-};
+use laperm_bench::sweep::{footprint_analyses, matrix_cells_for, sweep_config, FootprintRow};
 use laperm_bench::{
     ablate, check_document, default_jobs, fig7, fig8, fig9, figure4, full_report, generality,
     latency_report, locality, overhead, profile, render_check_report, saturation, suite_for_path,
@@ -236,7 +238,7 @@ fn run_report(
     eprintln!("programs: {} built, {} served", report.programs_built, report.programs_served);
     failures.extend_from_slice(session.failures());
     for f in &failures {
-        eprintln!("FAILED {}/{}/{}: {}", f.workload, f.launch_model, f.scheduler, f.error);
+        eprintln!("FAILED {}: {}", f.label, f.error);
     }
     if let Some(banner) = &banner {
         print!("{banner}");
@@ -282,44 +284,44 @@ fn run_check(args: &Args) {
 
 /// `repro dsl FILE.dsl`: compile a workload-DSL file end to end and run
 /// it under every launch model × scheduler on the sweep's machine (the
-/// Table I configuration on `--engine`). This
-/// is the quickstart path for a hand-written `.dsl` program: the file
-/// becomes a full workload (host kernels included) without any Rust.
+/// Table I configuration on `--engine`), through a [`Session`] like any
+/// study, so the resilience flags apply. This is the quickstart path
+/// for a hand-written `.dsl` program: the file becomes a full workload
+/// (host kernels included) without any Rust.
 fn run_dsl(args: &Args) {
     let Some(file) = args.operand.as_deref() else {
-        fail("usage: repro dsl FILE.dsl [--jobs N] [--engine event|cycle-stepped]")
+        fail(
+            "usage: repro dsl FILE.dsl [--jobs N] [--engine event|cycle-stepped] \
+             [--cache-dir DIR] [--retries N] [--cell-deadline CYCLES]",
+        )
     };
     let src =
         std::fs::read_to_string(file).unwrap_or_else(|e| fail(format!("cannot read {file}: {e}")));
     let compiled = CompiledWorkload::from_source(&src, ExecMode::Vm)
         .unwrap_or_else(|e| fail(format!("{file}: [{}] {e}", e.stage())));
     let workload: Arc<dyn Workload> = Arc::new(compiled);
-    let cfg = sweep_config(args.engine, false);
     let cells = matrix_cells_for(std::slice::from_ref(&workload));
-    let outcome = run_matrix_cells(&cells, args.jobs, &cfg);
-    println!("{} on kepler_k20c (compiled DSL, bytecode VM):", workload.full_name());
-    println!(
-        "{:<6} {:<14} {:>10} {:>6} {:>6} {:>6} {:>10}",
-        "model", "scheduler", "cycles", "IPC", "L1%", "L2%", "childwait"
-    );
-    for r in &outcome.records {
-        println!(
-            "{:<6} {:<14} {:>10} {:>6.1} {:>6.1} {:>6.1} {:>10.1}",
-            r.launch_model,
-            r.scheduler,
-            r.cycles,
-            r.ipc,
-            r.l1_hit_rate * 100.0,
-            r.l2_hit_rate * 100.0,
-            r.mean_child_wait,
+    run_report(args, &[], false, false, None, |s, _, _| {
+        let mut out =
+            format!("{} on kepler_k20c (compiled DSL, bytecode VM):\n", workload.full_name());
+        out += &format!(
+            "{:<6} {:<14} {:>10} {:>6} {:>6} {:>6} {:>10}\n",
+            "model", "scheduler", "cycles", "IPC", "L1%", "L2%", "childwait"
         );
-    }
-    for f in &outcome.failures {
-        eprintln!("FAILED {}/{}/{}: {}", f.workload, f.launch_model, f.scheduler, f.error);
-    }
-    if !outcome.failures.is_empty() {
-        std::process::exit(1);
-    }
+        for r in s.run(0, &cells) {
+            out += &format!(
+                "{:<6} {:<14} {:>10} {:>6.1} {:>6.1} {:>6.1} {:>10.1}\n",
+                r.launch_model,
+                r.scheduler,
+                r.cycles,
+                r.ipc,
+                r.l1_hit_rate * 100.0,
+                r.l2_hit_rate * 100.0,
+                r.mean_child_wait,
+            );
+        }
+        out
+    });
 }
 
 fn main() {
@@ -366,9 +368,10 @@ fn main() {
         "overhead" => run_study(overhead),
         "ablate" => run_study(ablate),
         // The profiled document never clobbers the `repro all` artifact,
-        // whose byte-identity the `engine-equivalence` CI job depends
-        // on; `repro check --json repro_profile.json` binds the engine
-        // and latency shape assertions against it.
+        // whose byte-identity across engines and program paths the CI
+        // `repro-gate` job diffs; `repro check --json
+        // repro_profile.json` binds the engine and latency shape
+        // assertions against it.
         "all" => {
             let path = args.json_path.as_deref().unwrap_or("repro.json");
             let all = suite();

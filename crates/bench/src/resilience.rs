@@ -522,12 +522,7 @@ pub fn run_matrix_cells_resilient(
             if let Some(record) = cache.lookup(key) {
                 hits.fetch_add(1, Ordering::Relaxed);
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!(
-                    "[{n}/{total}] {} {} {}: cached",
-                    cell.workload.full_name(),
-                    cell.model,
-                    cell.scheduler
-                );
+                eprintln!("[{n}/{total}] {}: cached", cell.label());
                 return Ok(record.clone());
             }
             misses.fetch_add(1, Ordering::Relaxed);
@@ -556,10 +551,8 @@ pub fn run_matrix_cells_resilient(
                     }
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     eprintln!(
-                        "[{n}/{total}] {} {} {}: {} cycles, IPC {:.1}",
-                        cell.workload.full_name(),
-                        cell.model,
-                        cell.scheduler,
+                        "[{n}/{total}] {}: {} cycles, IPC {:.1}",
+                        cell.label(),
                         record.cycles,
                         record.ipc
                     );
@@ -568,17 +561,15 @@ pub fn run_matrix_cells_resilient(
                 Err(e) => {
                     if attempt < total_attempts {
                         eprintln!(
-                            "retrying {} {} {} (attempt {attempt} of {total_attempts}): {e}",
-                            cell.workload.full_name(),
-                            cell.model,
-                            cell.scheduler
+                            "retrying {} (attempt {attempt} of {total_attempts}): {e}",
+                            cell.label()
                         );
                     }
                     error = e;
                 }
             }
         }
-        Err(failure(i, cell, total_attempts, error))
+        Err((total_attempts, error))
     };
     let indices: Vec<usize> = (0..cells.len()).collect();
     let results = run_cells(&indices, jobs, |&i| {
@@ -592,7 +583,7 @@ pub fn run_matrix_cells_resilient(
     for (i, result) in results.into_iter().enumerate() {
         match result {
             Ok(Ok(record)) => records.push(record),
-            Ok(Err(f)) => failures.push(f),
+            Ok(Err((attempts, error))) => failures.push(failure(i, &cells[i], attempts, error)),
             // The supervision loop itself panicked: only its message
             // survived.
             Err(error) => failures.push(failure(i, &cells[i], 1, error)),
@@ -621,6 +612,7 @@ fn failure(index: usize, cell: &MatrixCell, attempts: u32, error: String) -> Swe
         scheduler: cell.scheduler.name().to_string(),
         attempts,
         error,
+        label: cell.label(),
     }
 }
 

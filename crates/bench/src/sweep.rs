@@ -38,7 +38,7 @@ use crate::resilience::{run_matrix_cells_resilient, Resilience, ResilienceReport
 /// compiled to bytecode and served by the `wdsl` VM. The two paths are
 /// program-byte-identical (the wdsl suite-equivalence tests enforce it),
 /// so a sweep document built under either must render the same bytes —
-/// the CI `dsl-differential` job diffs them.
+/// the CI `repro-gate` job diffs them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProgramPath {
     /// The legacy Rust program generators (the oracle).
@@ -184,11 +184,47 @@ pub enum GpuOverride {
     MaxwellLike,
 }
 
+impl std::fmt::Display for GpuOverride {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GpuOverride::L1Bytes(bytes) => write!(f, "l1={}KB", bytes / 1024),
+            GpuOverride::L2Bytes(bytes) => write!(f, "l2={}KB", bytes / 1024),
+            GpuOverride::WarpScheduler(policy) => write!(f, "warp={policy}"),
+            GpuOverride::MaxwellLike => f.write_str("machine=maxwell-like"),
+        }
+    }
+}
+
 impl MatrixCell {
     /// The matrix cell `w × model × scheduler`, every other axis default.
     pub fn new(w: Arc<dyn Workload>, model: LaunchModelKind, scheduler: SchedulerKind) -> Self {
         let (latency, table_entries, laperm, gpu) = (None, None, None, None);
         MatrixCell { workload: w, model, scheduler, latency, table_entries, laperm, gpu }
+    }
+
+    /// The cell's name in progress, retry and `FAILED` lines:
+    /// `workload/model/scheduler`, then each axis the cell sets. Of a
+    /// LaPerm configuration it names the fields a study tunes; the rest
+    /// come from the machine.
+    pub fn label(&self) -> String {
+        let mut label = format!("{}/{}/{}", self.workload.full_name(), self.model, self.scheduler);
+        if let Some(l) = self.latency {
+            label += &format!(" latency={}+{}/tb+{}/inflight", l.base, l.per_tb, l.per_inflight);
+        }
+        if let Some(entries) = self.table_entries {
+            label += &format!(" table={entries}");
+        }
+        if let Some(c) = self.laperm {
+            let throttle = c.throttle_tbs.map_or("-".to_string(), |tbs| tbs.to_string());
+            label += &format!(
+                " laperm=L{},cluster{},onchip{},steal{},throttle{throttle}",
+                c.max_level, c.cluster_size, c.onchip_capacity, c.steal_min_free_slots
+            );
+        }
+        if let Some(change) = self.gpu {
+            label += &format!(" {change}");
+        }
+        label
     }
 
     /// The configuration the cell runs under: `sweep` plus its change.
@@ -256,6 +292,10 @@ pub struct SweepFailure {
     pub attempts: u32,
     /// Error or panic message from the final attempt.
     pub error: String,
+    /// The failed cell's [`MatrixCell::label`]. `repro.json` does not
+    /// carry it: a document's failures are matrix cells, which read back
+    /// as `workload/launch_model/scheduler`.
+    pub label: String,
 }
 
 /// The outcome of a matrix sweep: completed records in canonical cell
@@ -421,8 +461,8 @@ impl SweepDoc {
     /// tests) harness-level fault injection. Also returns what the
     /// policy did — cache hits/misses, journal damage repaired, retries
     /// spent. The document records neither the engine nor the path, so
-    /// the CI `engine-equivalence` and `dsl-differential` jobs diff the
-    /// rendered JSON byte-for-byte across them.
+    /// the CI `repro-gate` job diffs the rendered JSON byte-for-byte
+    /// across them.
     ///
     /// # Errors
     ///
@@ -587,12 +627,15 @@ impl SweepDoc {
                         .and_then(Json::as_u64)
                         .ok_or_else(|| format!("missing integer field '{key}'"))
                 };
+                let (workload, launch_model, scheduler) =
+                    (str_of(o, "workload")?, str_of(o, "launch_model")?, str_of(o, "scheduler")?);
                 Ok(SweepFailure {
                     cell_index: usize::try_from(u64_of("cell_index")?)
                         .map_err(|_| "cell_index out of range".to_string())?,
-                    workload: str_of(o, "workload")?,
-                    launch_model: str_of(o, "launch_model")?,
-                    scheduler: str_of(o, "scheduler")?,
+                    label: format!("{workload}/{launch_model}/{scheduler}"),
+                    workload,
+                    launch_model,
+                    scheduler,
                     attempts: u32::try_from(u64_of("attempts")?)
                         .map_err(|_| "attempts out of range".to_string())?,
                     error: str_of(o, "error")?,

@@ -100,3 +100,53 @@ fn repro_exits_1_when_a_study_cell_fails() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("FAILED bfs-citation/dtbl/adaptive-bind"), "{stderr}");
 }
+
+#[test]
+fn failed_lines_name_each_cell_once() {
+    // The matrix cell bfs-citation/dtbl/rr and two of its launch-latency
+    // points used to print the same `FAILED bfs-citation/dtbl/rr` line.
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["latency", "--scale", "tiny", "--jobs", "1", "--cell-deadline", "1"],
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    let mut prefixes: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("FAILED "))
+        .map(|l| l.split_once(": ").map_or(l, |(prefix, _)| prefix))
+        .collect();
+    assert!(prefixes.contains(&"FAILED bfs-citation/dtbl/rr latency=500+0/tb+0/inflight"));
+    let failed = prefixes.len();
+    prefixes.sort_unstable();
+    prefixes.dedup();
+    assert_eq!(prefixes.len(), failed, "{stderr}");
+}
+
+/// A checked-in DSL port, by its path from this crate.
+const JOIN_GAUSSIAN_DSL: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../workloads/dsl/join-gaussian.dsl");
+
+#[test]
+fn repro_dsl_exits_1_when_a_cell_misses_its_deadline() {
+    // `repro dsl` used to run outside the sweep session, ignore the
+    // deadline and exit 0.
+    let (code, stderr) =
+        run(env!("CARGO_BIN_EXE_repro"), &["dsl", JOIN_GAUSSIAN_DSL, "--cell-deadline", "1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("FAILED join-gaussian/"), "{stderr}");
+}
+
+#[test]
+fn repro_dsl_resumes_from_its_cell_cache() {
+    // `repro dsl` used to ignore --cache-dir and create no journal.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-dsl-cells");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir = dir.to_str().expect("utf-8 path");
+    let args = ["dsl", JOIN_GAUSSIAN_DSL, "--jobs", "1", "--cache-dir", dir];
+    let (code, first) = run(env!("CARGO_BIN_EXE_repro"), &args);
+    assert_eq!(code, Some(0), "{first}");
+    assert!(first.contains("cell cache: 0 hits, 8 misses, 8 committed"), "{first}");
+    let (code, second) = run(env!("CARGO_BIN_EXE_repro"), &args);
+    assert_eq!(code, Some(0), "{second}");
+    assert!(second.contains("cell cache: 8 hits, 0 misses, 0 committed"), "{second}");
+}

@@ -124,6 +124,7 @@ fn failures_are_attributed_and_fail_the_gate() {
         scheduler: "adaptive-bind".into(),
         attempts: 3,
         error: "simulated: queue wedged".into(),
+        label: "sssp-cage15/dtbl/adaptive-bind".into(),
     });
     let outcome = complete(&doc);
     assert!(!outcome.passed, "missing record + failure must fail matrix-complete");
@@ -177,6 +178,7 @@ fn check_verdicts_and_degraded_rendering() {
         scheduler: "adaptive-bind".into(),
         attempts: 2,
         error: "injected: cell wedged".into(),
+        label: "sssp-cage15/dtbl/adaptive-bind".into(),
     });
     let (outcomes, verdict) = check_document(&degraded);
     assert_eq!(verdict, CheckVerdict::Degraded);

@@ -36,8 +36,8 @@ pub enum EngineMode {
     /// cycle and the engine jumps between wake-ups via a min-heap,
     /// touching only the components that are due and skipping every
     /// cycle on which nothing can act. Statistics are bit-identical to
-    /// [`EngineMode::CycleStepped`]; the `engine-equivalence` gate
-    /// asserts this on the ci-scale matrix.
+    /// [`EngineMode::CycleStepped`]; the CI `repro-gate` job asserts
+    /// this on the ci-scale matrix.
     #[default]
     Event,
     /// Reference mode: a linear scan that steps every SMX on every

@@ -1,7 +1,6 @@
 //! CSV export of experiment results, for external plotting tools.
 
 use crate::harness::RunRecord;
-use crate::timeline::TimelinePoint;
 
 /// Escapes one CSV field (quotes fields containing separators).
 fn field(s: &str) -> String {
@@ -66,26 +65,6 @@ pub fn runs_to_csv(records: &[RunRecord]) -> String {
             r.host.ns,
             field(r.host.dominant_component.as_deref().unwrap_or("-")),
             lat,
-        ));
-    }
-    out
-}
-
-/// Renders a timeline as CSV with a header row.
-pub fn timeline_to_csv(points: &[TimelinePoint]) -> String {
-    let mut out = String::from(
-        "cycle,ipc,instructions,l1_hit_rate,l2_hit_rate,resident_tbs,undispatched_tbs\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{},{:.6},{},{:.6},{:.6},{},{}\n",
-            p.cycle,
-            p.ipc,
-            p.instructions,
-            p.l1_hit_rate,
-            p.l2_hit_rate,
-            p.resident_tbs,
-            p.undispatched_tbs
         ));
     }
     out
@@ -181,24 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn timeline_csv_roundtrips_values() {
-        let p = TimelinePoint {
-            cycle: 42,
-            ipc: 3.25,
-            instructions: 130,
-            l1_hit_rate: 0.5,
-            l2_hit_rate: 0.25,
-            resident_tbs: 7,
-            undispatched_tbs: 9,
-        };
-        let csv = timeline_to_csv(&[p]);
-        assert!(csv.contains("42,3.250000,130,0.500000,0.250000,7,9"));
-        assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
     fn empty_inputs_give_header_only() {
         assert_eq!(runs_to_csv(&[]).lines().count(), 1);
-        assert_eq!(timeline_to_csv(&[]).lines().count(), 1);
     }
 }

@@ -10,9 +10,9 @@
 //! fuel limit so a fuel-count mismatch between back ends cannot mask a
 //! real divergence.
 //!
-//! The CI `dsl-differential` job runs [`fuzz_case`] over a seed range;
-//! on failure the offending program text is written to a file and
-//! uploaded as an artifact (see `crates/wdsl/tests/differential.rs`).
+//! `crates/wdsl/tests/differential.rs` runs [`fuzz_case`] over a seed
+//! range in every `cargo test`; on failure the offending program text is
+//! written to a file, which CI uploads as an artifact.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

@@ -19,7 +19,8 @@
 //! kernel ([`resolve::eval_bin`]), one op-emission layer (`emit`), and
 //! one set of error constructors — so they agree byte-for-byte on every
 //! program *and* on every fault, which the differential fuzzer
-//! ([`difftest`]) and the CI `dsl-differential` job enforce. The VM's
+//! ([`difftest`]) and the CI `repro-gate` job's `--programs dsl` sweep
+//! enforce. The VM's
 //! dispatch loop is bounds-check-free: the [`bytecode`] verifier proves
 //! stack depths and id ranges per instruction at compile time, and
 //! [`CompiledKernel`]s are only constructible through the verifying

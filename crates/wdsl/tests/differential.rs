@@ -2,9 +2,10 @@
 //! bytecode VM and the reference interpreter must agree on every
 //! program (values and structured errors alike).
 //!
-//! The CI `dsl-differential` job runs this with `DSL_FUZZ_CASES=384`.
-//! On divergence the complete failing program text is written under
-//! `DSL_FUZZ_ARTIFACT_DIR` (default `target/dsl-fuzz/`) so CI can
+//! `cargo test` runs 384 seeds (`DSL_FUZZ_CASES` and `DSL_FUZZ_SEED`
+//! pick another count and first seed). On divergence the complete
+//! failing program text is written under `DSL_FUZZ_ARTIFACT_DIR`
+//! (default `target/dsl-fuzz/`, relative to this crate) so CI can
 //! upload it as an artifact for offline reproduction.
 
 use wdsl::difftest::fuzz_case;
@@ -15,7 +16,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 #[test]
 fn vm_and_interpreter_agree_on_randomized_programs() {
-    let cases = env_u64("DSL_FUZZ_CASES", 256);
+    let cases = env_u64("DSL_FUZZ_CASES", 384);
     let base = env_u64("DSL_FUZZ_SEED", 0);
     let mut programs = 0usize;
     for seed in base..base + cases {

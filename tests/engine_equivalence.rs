@@ -9,8 +9,8 @@
 //! through a two-slot pending-launch buffer that spills, the one shape
 //! the suite cells do not reach. A last test renders the full
 //! tiny-scale sweep document (`repro.json`) once per engine and
-//! compares the JSON byte-for-byte, mirroring the CI
-//! `engine-equivalence` job at ci scale.
+//! compares the JSON byte-for-byte; the CI `repro-gate` job makes the
+//! same diff at ci scale, text report included.
 
 use std::sync::Arc;
 

@@ -1,11 +1,12 @@
 //! Tier-2 snapshot test: the ci-scale reproduction report must match
 //! the checked-in golden byte-for-byte.
 //!
-//! This is the offline half of the CI reproduction gate: the `repro-gate`
-//! workflow job runs the same sweep through the `repro` binary and diffs
-//! against the same golden, so a drift fails both here and there. The
-//! test is `#[ignore]`d because the full ci-scale sweep takes tens of
-//! seconds — CI runs it explicitly with `cargo test -- --ignored`.
+//! This is the offline form of the CI reproduction gate: the `repro-gate`
+//! workflow job runs the same sweeps through the `repro` binary and
+//! diffs against the same goldens and shape checks, so CI does not run
+//! this file. The tests are `#[ignore]`d because the full ci-scale sweep
+//! takes seconds; run them with `cargo test --release --test
+//! repro_snapshot -- --ignored` to check a change without the binary.
 //!
 //! If a deliberate model change alters the output, regenerate with
 //! `cargo run --release -p laperm-bench --bin repro -- all --scale ci \

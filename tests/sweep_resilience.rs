@@ -16,8 +16,9 @@
 //! The in-process kill here truncates the run at a cell boundary (the
 //! journal commits each cell in one write, so a SIGKILL can only ever
 //! land between commits or mid-record — both covered). The real
-//! SIGKILL rehearsal lives in the CI `sweep-resilience` job, which
-//! kills `repro all --kill-after-cells N` from outside and resumes.
+//! SIGKILL rehearsal lives in the CI `repro-gate` job, which kills
+//! `repro all --kill-after-cells 48` from outside, resumes, and diffs
+//! the result against the job's one reference sweep.
 
 use std::path::{Path, PathBuf};
 
