@@ -19,9 +19,7 @@
 //!   fig8      L1 hit rates (Figure 8)     — runs the full matrix
 //!   fig9      normalized IPC (Figure 9)   — runs the full matrix
 //!   locality  cache-hit provenance by lineage class — runs the full matrix
-//!   latency   launch-latency sensitivity (Section IV-D), then TB
-//!             lifecycle attribution and the launch-DAG critical path
-//!             over a latency-profiled rerun of the matrix
+//!   latency   launch-latency sensitivity (Section IV-D)
 //!   timeline  windowed IPC/L1 over one run, RR vs Adaptive-Bind
 //!   variance  headline gain over several input seeds (mean ± std)
 //!   csv       full run matrix as CSV on stdout (for plotting)
@@ -31,9 +29,11 @@
 //!   overhead  queue hardware overheads (Section IV-E)
 //!   ablate    design-choice ablations
 //!   all       everything above; also writes the repro.json artifact
-//!   profile   rerun the matrix with engine introspection on; prints the
-//!             wake-source decomposition and writes a profiled document
-//!             (default repro_profile.json, never clobbering repro.json)
+//!   profile   rerun the matrix with engine introspection and latency
+//!             attribution on; prints the wake-source decomposition, then
+//!             TB lifecycle attribution and the launch-DAG critical path,
+//!             and writes a profiled document (default
+//!             repro_profile.json, never clobbering repro.json)
 //!   check     evaluate the shape assertions against repro.json and
 //!             exit nonzero on any violation (the CI reproduction gate);
 //!             point it at repro_profile.json to bind the engine shapes
@@ -47,8 +47,9 @@
 //!
 //! Every simulation but `timeline`'s is a cell of one resilient sweep
 //! session: the matrix subcommands (`all`, `fig7`, `fig8`, `fig9`,
-//! `locality`, `csv`, `profile`, `latency`) sweep the matrix first, and
-//! every study section then runs its points through the same session,
+//! `locality`, `csv`, `profile`) sweep the matrix first, and every study
+//! section (`latency`, `variance`, `cache`, `saturation`, `generality`,
+//! `overhead`, `ablate`) then runs its points through the same session,
 //! which serves a point it already ran. So `--engine` and the sweep
 //! flags below apply to every section.
 //!
@@ -111,7 +112,7 @@ use laperm_bench::experiments::render_fig2;
 use laperm_bench::sweep::{footprint_analyses, matrix_cells_for, sweep_config, FootprintRow};
 use laperm_bench::{
     ablate, check_document, default_jobs, fig7, fig8, fig9, figure4, full_report, generality,
-    latency_report, locality, overhead, profile, render_check_report, saturation, suite_for_path,
+    latency_sweep, locality, overhead, profile, render_check_report, saturation, suite_for_path,
     sweep_cache, table1, table2, timeline, variance, CheckVerdict, MatrixRecords, ProgramPath,
     Resilience, Session, SweepDoc,
 };
@@ -210,6 +211,9 @@ fn run_report(
     let cfg = sweep_config(args.engine, profiled);
     let res = args.resilience.clone();
     let mut session = Session::new(args.scale, args.programs, cfg, args.jobs, res);
+    if args.experiment == "dsl" {
+        session = session.with_fixed_inputs();
+    }
     let mut doc = matrix.then(|| session.matrix(suite).unwrap_or_else(|e| fail(e)));
     // Only the written document carries Figure 2's footprint rows.
     let mut footprints = Vec::new();
@@ -225,6 +229,9 @@ fn run_report(
     let banner = doc.as_ref().and_then(SweepDoc::degraded_banner);
     let (records, mut failures) = doc.map(|d| (d.records, d.failures)).unwrap_or_default();
     let text = render(&mut session, &MatrixRecords::from_records(records), &footprints);
+    if let Some(e) = session.setup_error() {
+        fail(e);
+    }
     let report = session.report();
     if args.resilience.cache_dir.is_some() {
         if let Some(damage) = &report.journal_damage {
@@ -353,10 +360,7 @@ fn main() {
         "locality" => {
             run_report(&args, &suite(), false, true, None, |_, m, _| format!("{}\n", locality(m)))
         }
-        "latency" => {
-            let all = suite();
-            run_report(&args, &all, true, true, None, |s, m, _| latency_report(s, &all, m))
-        }
+        "latency" => run_study(latency_sweep),
         "timeline" => println!("{}", timeline(scale, &suite(), jobs)),
         "variance" => run_study(variance),
         "csv" => run_report(&args, &suite(), false, true, None, |_, m, _| {

@@ -1,6 +1,6 @@
-//! Strict flag parsing shared by the `repro`, `laperm-sim` and
-//! `laperm-trace` binaries, plus one definition of the single-run flags
-//! the last two share ([`RUN_FLAGS`]). An undeclared flag, a value flag
+//! Strict flag parsing shared by the `repro` and `laperm-trace`
+//! binaries, plus the single-run flags `laperm-trace` reads through the
+//! accessors below ([`RUN_FLAGS`]). An undeclared flag, a value flag
 //! with no value, a stray operand or a bad value exits 2 with a named
 //! error; a number that does not fit its field names the valid range
 //! instead of being narrowed.

@@ -658,19 +658,23 @@ pub fn saturation(s: &mut Session, all: &[Arc<dyn Workload>]) -> String {
     out
 }
 
-/// Engine introspection: wake-source decomposition of the simulation
-/// loop, pooled per launch model and scheduler. Only simulated-side
-/// counters appear here — host wall time is nondeterministic, so it
-/// lives in `laperm-trace --engine-profile`, never in a golden-diffed
-/// report. Not part of the `all` report (the matrix does not profile
-/// the engine and the golden predates it); run `repro profile`.
+/// The complete `repro profile` text report over a profiled matrix (`m`
+/// from a sweep under [`crate::sweep::sweep_config`]`(_, true)`): engine
+/// introspection, the wake-source decomposition of the simulation loop
+/// pooled per launch model and scheduler, then [`latency_attribution`].
+/// Only simulated-side counters appear here — host wall time is
+/// nondeterministic, so it lives in `laperm-trace`'s run summary, never
+/// in a golden-diffed report. Not part of the `all` report (the matrix
+/// profiles neither the engine nor latency, and the golden predates
+/// both). `tests/repro_snapshot.rs` diffs this byte-for-byte against the
+/// checked-in ci-scale golden.
 pub fn profile(m: &MatrixRecords) -> String {
     use gpu_sim::stats::{Pow2Hist, WakeSource};
 
     let mut out = String::from(
         "Engine introspection: wake-source decomposition of the event loop\n\
          (loop iterations partitioned by what woke the engine; jumps are cycles\n\
-         the event engine skipped without work; host time: laperm-trace --engine-profile)\n",
+         the event engine skipped without work; host time: laperm-trace)\n",
     );
     let profiled = m.records.iter().filter(|r| r.engine.is_some()).count();
     if profiled == 0 {
@@ -739,14 +743,14 @@ pub fn profile(m: &MatrixRecords) -> String {
         ]);
     }
     out.push_str(&format!("\npooled across {profiled} profiled runs\n{}", t.render()));
+    out.push_str(&format!("\n{}", latency_attribution(m)));
     out
 }
 
 /// Latency attribution: TB lifecycle decomposition, child queue-wait
 /// split by binding outcome and nesting depth, and the launch-DAG
-/// critical path — pooled per launch model and scheduler. Not part of
-/// the `all` report (the matrix does not profile latency and the golden
-/// predates it); run `repro latency`.
+/// critical path — pooled per launch model and scheduler; the second
+/// half of [`profile`].
 pub fn latency_attribution(m: &MatrixRecords) -> String {
     use gpu_sim::stats::Pow2Hist;
 
@@ -757,7 +761,7 @@ pub fn latency_attribution(m: &MatrixRecords) -> String {
     );
     let profiled = m.records.iter().filter(|r| r.latency.is_some()).count();
     if profiled == 0 {
-        out.push_str("\nno latency attribution in these records (run `repro latency`)\n");
+        out.push_str("\nno latency attribution in these records (run `repro profile`)\n");
         return out;
     }
     let q3 = |h: &Pow2Hist| {
@@ -888,17 +892,6 @@ pub fn latency_attribution(m: &MatrixRecords) -> String {
         t.render()
     ));
     out
-}
-
-/// The complete `repro latency` text report: the Section IV-D
-/// launch-latency sensitivity sweep, run through `s`, followed by the
-/// lifecycle attribution tables over a latency-profiled matrix (`m`
-/// must come from a sweep under
-/// [`crate::sweep::sweep_config`]`(_, true)`).
-/// `tests/repro_snapshot.rs` diffs this byte-for-byte against the
-/// checked-in ci-scale golden.
-pub fn latency_report(s: &mut Session, all: &[Arc<dyn Workload>], m: &MatrixRecords) -> String {
-    format!("{}\n\n{}", latency_sweep(s, all), latency_attribution(m))
 }
 
 /// The complete `repro all` text report: every section in order, each

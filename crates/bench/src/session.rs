@@ -1,10 +1,10 @@
 //! One report run's simulations, deduplicated by cell key.
 //!
 //! A [`Session`] belongs to one `repro` run (or one
-//! [`crate::full_report`] / [`crate::latency_report`] call). It sweeps
-//! the evaluation matrix first and then each study section's cells, all
-//! through [`run_matrix_cells_resilient`] under one sweep configuration
-//! and one resilience policy. Every record it receives stays held under
+//! [`crate::full_report`] call). It sweeps the evaluation matrix first
+//! and then each study section's cells, all through
+//! [`run_matrix_cells_resilient`] under one sweep configuration and one
+//! resilience policy. Every record it receives stays held under
 //! its [`cell_key`], so a study point equal to a matrix cell or an
 //! earlier point is served from memory and only the misses reach the
 //! executor. The matrix path itself computes no extra key.
@@ -25,6 +25,9 @@ use crate::sweep::{
 pub struct Session {
     /// The suite scale.
     pub(crate) scale: Scale,
+    /// What cell keys name the inputs by: the scale, or `file` for a
+    /// workload whose source fixes its own inputs.
+    inputs: &'static str,
     /// The program path the suite is served through.
     pub(crate) programs: ProgramPath,
     /// The worker count.
@@ -36,6 +39,8 @@ pub struct Session {
     held: HashMap<String, RunRecord>,
     report: ResilienceReport,
     failures: Vec<SweepFailure>,
+    /// The first batch that could not start, and why.
+    setup_error: Option<String>,
 }
 
 impl Session {
@@ -49,8 +54,17 @@ impl Session {
         jobs: usize,
         res: Resilience,
     ) -> Self {
-        let (held, report, failures) = Default::default();
-        Session { scale, programs, jobs, cfg, res, held, report, failures }
+        let (held, report, failures, setup_error) = Default::default();
+        let inputs = scale.name();
+        Session { scale, inputs, programs, jobs, cfg, res, held, report, failures, setup_error }
+    }
+
+    /// This session, its cells keyed independently of the scale: for a
+    /// workload whose source fixes its own inputs (`repro dsl FILE`), so
+    /// the same file hits the same cells at any `--scale`.
+    pub fn with_fixed_inputs(mut self) -> Self {
+        self.inputs = "file";
+        self
     }
 
     /// What the executor did, totalled over every batch.
@@ -62,6 +76,13 @@ impl Session {
     /// are in its document).
     pub fn failures(&self) -> &[SweepFailure] {
         &self.failures
+    }
+
+    /// Why a batch could not start (an unusable cache directory), if
+    /// one could not: its cells, and every later batch's, read as zero
+    /// records.
+    pub fn setup_error(&self) -> Option<&str> {
+        self.setup_error.as_deref()
     }
 
     /// Sweeps the matrix of `all`, the seed-0 suite, as
@@ -84,12 +105,8 @@ impl Session {
     /// input `seed`, in cell order. Held cells are served and the rest
     /// run as one executor batch. A cell that fails after its retries
     /// joins [`Session::failures`] and reads as its names over zero
-    /// measurements.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cache directory, usable for the matrix, cannot be
-    /// opened again.
+    /// measurements. A batch that cannot start records
+    /// [`Session::setup_error`] and reads as zero records.
     pub fn run(&mut self, seed: u64, cells: &[MatrixCell]) -> Vec<RunRecord> {
         let keys: Vec<String> = cells.iter().map(|c| self.key(c, seed)).collect();
         let (mut batch, mut batch_keys) = (Vec::new(), Vec::new());
@@ -99,13 +116,15 @@ impl Session {
                 batch_keys.push(key.clone());
             }
         }
-        if !batch.is_empty() {
-            let tag = format!("{}/{seed}", self.scale.name());
-            let (outcome, report) =
-                run_matrix_cells_resilient(&batch, self.jobs, &self.cfg, &tag, &self.policy())
-                    .unwrap_or_else(|e| panic!("sweep setup failed: {e}"));
-            self.failures.extend_from_slice(&outcome.failures);
-            self.hold(&batch_keys, outcome, &report);
+        if !batch.is_empty() && self.setup_error.is_none() {
+            let tag = format!("{}/{seed}", self.inputs);
+            match run_matrix_cells_resilient(&batch, self.jobs, &self.cfg, &tag, &self.policy()) {
+                Ok((outcome, report)) => {
+                    self.failures.extend_from_slice(&outcome.failures);
+                    self.hold(&batch_keys, outcome, &report);
+                }
+                Err(e) => self.setup_error = Some(e),
+            }
         }
         keys.iter().map(|k| self.held.get(k).cloned().unwrap_or_default()).collect()
     }
@@ -113,7 +132,7 @@ impl Session {
     /// The in-memory key of `cell` (every cell of a session shares its
     /// deadline, so the sweep configuration stands in for the run's).
     fn key(&self, cell: &MatrixCell, seed: u64) -> String {
-        let tag = format!("{}/{seed}", self.scale.name());
+        let tag = format!("{}/{seed}", self.inputs);
         cell_key(cell, &self.cfg, &tag, self.res.sim_fault_seed)
     }
 

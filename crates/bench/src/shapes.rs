@@ -654,7 +654,7 @@ const SHAPES: &[(&str, &str, Check)] = &[
             (
                 ok,
                 if checked == 0 {
-                    "no latency attribution in this document (run `repro latency`)".to_string()
+                    "no latency attribution in this document (run `repro profile`)".to_string()
                 } else if ok {
                     format!("{checked} profiled runs, all partitions exact")
                 } else {
@@ -684,7 +684,7 @@ const SHAPES: &[(&str, &str, Check)] = &[
             if t.count == 0 || rr.count == 0 {
                 return (
                     true,
-                    "no latency attribution in this document (run `repro latency`)".to_string(),
+                    "no latency attribution in this document (run `repro profile`)".to_string(),
                 );
             }
             let (tp, rp) = (t.percentile(0.95), rr.percentile(0.95));

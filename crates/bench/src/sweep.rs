@@ -413,7 +413,7 @@ pub const SWEEP_SCHEMA_VERSION: u64 = 6;
 /// (wake-source counts, heap depth, jump lengths) and the optional
 /// `latency` object (lifecycle histograms, critical path). Engine
 /// introspection legitimately differs between engine modes, so default
-/// sweeps keep it off; `repro profile` and `repro latency` turn it on.
+/// sweeps keep it off; `repro profile` turns it on.
 pub fn sweep_config(engine_mode: EngineMode, profiled: bool) -> GpuConfig {
     let mut cfg = GpuConfig::kepler_k20c();
     cfg.profile_locality = true;

@@ -27,8 +27,11 @@ fn every_binary_rejects_unknown_flags_and_missing_values() {
     rejects(repro, &["table1", "--jobs"], "--jobs expects a value");
     // Only `repro dsl` takes an operand; `repro table1 ci` is a typo.
     rejects(repro, &["table1", "ci"], "unexpected argument ci");
-    rejects(env!("CARGO_BIN_EXE_laperm-sim"), &["--scael", "ci"], "unknown argument --scael");
-    rejects(env!("CARGO_BIN_EXE_laperm-trace"), &["--out"], "--out expects a value");
+    let trace = env!("CARGO_BIN_EXE_laperm-trace");
+    rejects(trace, &["--scael", "ci"], "unknown argument --scael");
+    rejects(trace, &["--out"], "--out expects a value");
+    // The profiler flags are gone: every run profiles.
+    rejects(trace, &["--locality"], "unknown argument --locality");
 }
 
 #[test]
@@ -59,15 +62,12 @@ fn repro_rejects_a_retry_count_that_does_not_fit_u32() {
 
 #[test]
 fn single_run_binaries_accept_the_ci_scale() {
-    for bin in [env!("CARGO_BIN_EXE_laperm-sim"), env!("CARGO_BIN_EXE_laperm-trace")] {
-        let out = Command::new(bin)
-            .args(["--scale", "ci", "--workload", "list"])
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-        assert!(String::from_utf8_lossy(&out.stdout).contains("bfs-citation"));
-    }
-    rejects(env!("CARGO_BIN_EXE_laperm-sim"), &["--scale", "huge"], "tiny, ci, small, paper");
+    let trace = env!("CARGO_BIN_EXE_laperm-trace");
+    let out =
+        Command::new(trace).args(["--scale", "ci", "--workload", "list"]).output().expect("runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("bfs-citation"));
+    rejects(trace, &["--scale", "huge"], "tiny, ci, small, paper");
 }
 
 #[test]
@@ -80,13 +80,34 @@ fn trace_rejects_an_smx_count_that_does_not_fit_u16() {
 
 #[test]
 fn sim_rejects_cache_sizes_whose_byte_count_overflows() {
+    let trace = env!("CARGO_BIN_EXE_laperm-trace");
     for flag in ["--l1-kb", "--l2-kb"] {
-        let (code, stderr) = run(env!("CARGO_BIN_EXE_laperm-sim"), &[flag, "4194304"]);
+        let (code, stderr) = run(trace, &[flag, "4194304"]);
         assert_eq!(code, Some(2), "{flag}: {stderr}");
         assert!(stderr.contains("must be at most 4194303"), "{flag}: {stderr}");
     }
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_laperm-sim"), &["--launch-latency", "4294967296"]);
+    let (code, stderr) = run(trace, &["--launch-latency", "4294967296"]);
     assert_eq!(code, Some(2), "{stderr}");
+}
+
+#[test]
+fn an_unusable_cache_dir_exits_2_in_every_subcommand() {
+    // A study or `repro dsl` used to panic (exit 101) where a matrix
+    // subcommand exits 2.
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-cache-file");
+    std::fs::write(&file, "not a directory").expect("write file");
+    let dir = file.join("x");
+    let dir = dir.to_str().expect("utf-8 path");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    for args in [
+        &["overhead", "--scale", "tiny", "--cache-dir", dir][..],
+        &["fig7", "--scale", "tiny", "--cache-dir", dir],
+        &["dsl", JOIN_GAUSSIAN_DSL, "--cache-dir", dir],
+    ] {
+        let (code, stderr) = run(repro, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("create cache dir"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -138,12 +159,14 @@ fn repro_dsl_exits_1_when_a_cell_misses_its_deadline() {
 
 #[test]
 fn repro_dsl_resumes_from_its_cell_cache() {
-    // `repro dsl` used to ignore --cache-dir and create no journal.
+    // `repro dsl` used to ignore --cache-dir and create no journal, and
+    // then to key its cells under `--scale` although a DSL file fixes
+    // its own inputs: a `--scale ci` run did not serve the default.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-dsl-cells");
     let _ = std::fs::remove_dir_all(&dir);
     let dir = dir.to_str().expect("utf-8 path");
     let args = ["dsl", JOIN_GAUSSIAN_DSL, "--jobs", "1", "--cache-dir", dir];
-    let (code, first) = run(env!("CARGO_BIN_EXE_repro"), &args);
+    let (code, first) = run(env!("CARGO_BIN_EXE_repro"), &[&args[..], &["--scale", "ci"]].concat());
     assert_eq!(code, Some(0), "{first}");
     assert!(first.contains("cell cache: 0 hits, 8 misses, 8 committed"), "{first}");
     let (code, second) = run(env!("CARGO_BIN_EXE_repro"), &args);

@@ -2,14 +2,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::cache::{CacheStats, ReuseClass, NUM_REUSE_CLASSES};
+use crate::cache::{CacheStats, NUM_REUSE_CLASSES};
 use crate::program::KernelKindId;
 use crate::types::{BatchId, Cycle, Priority, SmxId, TbRef};
 
 /// A power-of-two-bucket histogram of `u64` values: bucket 0 holds the
 /// value 0, bucket `i` holds values in `[2^(i-1), 2^i)`. Fixed-size and
-/// allocation-free so it can live inside the simulator's hot state; the
-/// metrics registry stores it as is for export.
+/// allocation-free so it can live inside the simulator's hot state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pow2Hist {
     /// Bucket counts (see type docs for the bucket boundaries).
@@ -150,7 +149,8 @@ impl BindReuse {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LocalityStats {
     /// L1 reuse distance (cycles between install and hit) per class,
-    /// merged over all SMXs, indexed by [`ReuseClass::index`].
+    /// merged over all SMXs, indexed by
+    /// [`ReuseClass::index`](crate::cache::ReuseClass::index).
     pub l1_reuse_dist: [Pow2Hist; NUM_REUSE_CLASSES],
     /// L2 reuse distance per class.
     pub l2_reuse_dist: [Pow2Hist; NUM_REUSE_CLASSES],
@@ -770,14 +770,15 @@ impl LatencyStats {
         s
     }
 
-    /// `p50 / p95 / p99 (mean)` rendering of one histogram, shared by
-    /// the CLI summary tables.
+    /// `p50 / p95 / p99 / max (mean, n)` rendering of one histogram,
+    /// the one form every histogram of a run summary takes.
     pub fn quantile_line(h: &Pow2Hist) -> String {
         format!(
-            "p50 {} / p95 {} / p99 {} (mean {:.0}, n={})",
+            "p50 {} / p95 {} / p99 {} / max {} (mean {:.1}, n={})",
             h.percentile(0.50),
             h.percentile(0.95),
             h.percentile(0.99),
+            h.max,
             h.mean(),
             h.count
         )
@@ -929,126 +930,6 @@ impl SimStats {
                 (KernelKindId(kind), count, total as f64 / count.max(1) as f64)
             })
             .collect()
-    }
-
-    /// A multi-line human-readable summary of the run (one metric per
-    /// line, aligned), for CLIs and examples.
-    pub fn summary(&self) -> String {
-        let mix = self.instruction_mix;
-        let mut out = String::new();
-        let mut line = |k: &str, v: String| {
-            out.push_str(&format!("{k:<20}{v}\n"));
-        };
-        line("scheduler", self.scheduler.clone());
-        line("launch model", self.launch_model.clone());
-        line("cycles", self.cycles.to_string());
-        line("IPC", format!("{:.2}", self.ipc()));
-        line("L1 hit rate", format!("{:.1}%", self.l1.hit_rate() * 100.0));
-        line("L2 hit rate", format!("{:.1}%", self.l2.hit_rate() * 100.0));
-        line("DRAM accesses", self.dram_accesses.to_string());
-        line("DRAM row hits", format!("{:.1}%", self.dram_row_hit_rate * 100.0));
-        line("MSHR merges", self.mshr_merges.to_string());
-        line("L2 write-backs", self.l2_writebacks.to_string());
-        line("TBs (total/child)", format!("{}/{}", self.tb_records.len(), self.dynamic_tbs()));
-        line("mean child wait", format!("{:.0} cycles", self.mean_child_wait()));
-        line("parent-SMX affinity", format!("{:.1}%", self.parent_smx_affinity() * 100.0));
-        line("SMX utilization", format!("{:.1}%", self.smx_utilization() * 100.0));
-        line("load imbalance", format!("{:.2}", self.load_imbalance()));
-        line(
-            "instruction mix",
-            format!(
-                "{} compute / {} load / {} store / {} shared / {} launch / {} barrier",
-                mix.compute, mix.loads, mix.stores, mix.shared, mix.launches, mix.barriers
-            ),
-        );
-        let stalls = self.total_stalls();
-        line(
-            "stall cycles",
-            format!(
-                "{} scoreboard / {} mem / {} mshr-full / {} barrier / {} no-TB / {} launch-path",
-                stalls.scoreboard,
-                stalls.memory_pending,
-                stalls.mshr_full,
-                stalls.barrier,
-                stalls.no_tb,
-                stalls.launch_path
-            ),
-        );
-        if let Some(loc) = &self.locality {
-            let share = |c: ReuseClass| format!("{:.1}%", self.l1.prov.share(c) * 100.0);
-            line(
-                "L1 reuse classes",
-                format!(
-                    "{} self / {} parent-child / {} sibling / {} ancestor / {} unrelated",
-                    share(ReuseClass::SelfReuse),
-                    share(ReuseClass::ParentChild),
-                    share(ReuseClass::Sibling),
-                    share(ReuseClass::Ancestor),
-                    share(ReuseClass::Unrelated),
-                ),
-            );
-            line(
-                "L2 parent-child",
-                format!(
-                    "{:.1}% ({} same-SMX / {} cross-SMX hits)",
-                    self.l2.prov.share(ReuseClass::ParentChild) * 100.0,
-                    self.l2.prov.same_smx,
-                    self.l2.prov.cross_smx
-                ),
-            );
-            line(
-                "bound/stolen reuse",
-                format!(
-                    "{:.1}% / {:.1}% parent-child of child L1 hits",
-                    loc.bind.bound_share() * 100.0,
-                    loc.bind.stolen_share() * 100.0
-                ),
-            );
-        }
-        if let Some(eng) = &self.engine {
-            line(
-                "engine iterations",
-                format!(
-                    "{} over {} cycles ({:.3} per cycle)",
-                    eng.loop_iterations,
-                    self.cycles,
-                    if self.cycles == 0 {
-                        0.0
-                    } else {
-                        eng.loop_iterations as f64 / self.cycles as f64
-                    }
-                ),
-            );
-            line(
-                "wake sources",
-                WakeSource::ALL
-                    .iter()
-                    .map(|s| format!("{} {}", eng.wake_count(*s), s.name()))
-                    .collect::<Vec<_>>()
-                    .join(" / "),
-            );
-        }
-        if let Some(lat) = &self.latency {
-            line("TB lifetime", LatencyStats::quantile_line(&lat.lifetime));
-            line("launch path", LatencyStats::quantile_line(&lat.launch_path));
-            line("queue wait", LatencyStats::quantile_line(&lat.queue_wait));
-            line("child queue wait", LatencyStats::quantile_line(&lat.child_queue_wait));
-            let cp = &lat.critical_path;
-            line(
-                "critical path",
-                format!(
-                    "{} TBs, {} cycles ({} queue / {} exec)",
-                    cp.len, cp.cycles, cp.queue_cycles, cp.exec_cycles
-                ),
-            );
-        }
-        for (name, v) in &self.scheduler_counters {
-            line(name, v.to_string());
-        }
-        for (name, v) in &self.launch_counters {
-            line(name, v.to_string());
-        }
-        out
     }
 
     /// Fraction of dynamic TBs that ran on the same SMX as their direct
@@ -1262,25 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_every_headline_metric() {
-        let stats = SimStats {
-            cycles: 100,
-            thread_instructions: 250,
-            scheduler: "rr".to_string(),
-            launch_model: "dtbl".to_string(),
-            scheduler_counters: vec![("stage3_steals", 7)],
-            launch_counters: vec![("dtbl_table_overflows", 3)],
-            ..Default::default()
-        };
-        let s = stats.summary();
-        for needle in
-            ["cycles", "IPC", "L1 hit rate", "stage3_steals", "dtbl_table_overflows", "2.50", "rr"]
-        {
-            assert!(s.contains(needle), "summary missing {needle}:\n{s}");
-        }
-    }
-
-    #[test]
     fn per_kind_summary_groups_and_averages() {
         let mut a = record(false, 0, None);
         a.finished_at = 130; // 100 resident
@@ -1353,26 +1215,49 @@ mod tests {
         let mut h = Pow2Hist::default();
         h.record(100);
         let s = LatencyStats::quantile_line(&h);
-        for needle in ["p50 100", "p95 100", "p99 100", "mean 100", "n=1"] {
+        for needle in ["p50 100", "p95 100", "p99 100", "max 100", "mean 100", "n=1"] {
             assert!(s.contains(needle), "quantile line missing {needle}: {s}");
         }
     }
 
     #[test]
-    fn summary_includes_latency_section_only_when_profiled() {
-        let mut stats = SimStats { cycles: 100, ..Default::default() };
-        assert!(!stats.summary().contains("critical path"));
-        let mut lifetime = Pow2Hist::default();
-        lifetime.record(64);
-        stats.latency = Some(LatencyStats {
-            lifetime,
-            critical_path: CriticalPath { len: 2, cycles: 90, queue_cycles: 30, exec_cycles: 60 },
-            ..Default::default()
-        });
-        let s = stats.summary();
-        for needle in ["TB lifetime", "child queue wait", "2 TBs, 90 cycles (30 queue / 60 exec)"] {
-            assert!(s.contains(needle), "summary missing {needle}:\n{s}");
+    fn histogram_buckets_by_powers_of_two() {
+        let mut h = Pow2Hist::default();
+        for v in [0, 1, 2, 3, 4, 7, 8, 1024] {
+            h.record(v);
         }
+        assert_eq!(h.count, 8);
+        assert_eq!(h.sum, 1049);
+        assert_eq!(h.max, 1024);
+        let buckets = h.nonzero_buckets();
+        // 0 | 1 | [2,3] | [4,7] | [8,15] | [1024,2047]
+        assert_eq!(buckets, vec![(0, 1), (1, 1), (3, 2), (7, 2), (15, 1), (2047, 1)]);
+    }
+
+    #[test]
+    fn histogram_quantiles_bound_from_above() {
+        let mut h = Pow2Hist::default();
+        for _ in 0..99 {
+            h.record(4);
+        }
+        h.record(1000);
+        assert!(h.percentile(0.5) >= 4);
+        assert!(h.percentile(0.5) < 8);
+        assert_eq!(h.percentile(1.0), 1000);
+        assert_eq!(Pow2Hist::default().percentile(0.5), 0);
+        assert!((h.mean() - (99.0 * 4.0 + 1000.0) / 100.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn top_bucket_renders_without_overflow() {
+        // The top bucket holds [2^63, u64::MAX]; its label must be
+        // u64::MAX, never a shift by 64. Run summaries render every
+        // histogram through `quantile_line`.
+        let mut h = Pow2Hist::default();
+        h.record(u64::MAX);
+        assert_eq!(h.nonzero_buckets(), vec![(u64::MAX, 1)]);
+        let text = LatencyStats::quantile_line(&h);
+        assert!(text.contains(&format!("p99 {} / max {}", u64::MAX, u64::MAX)), "{text}");
     }
 
     #[test]

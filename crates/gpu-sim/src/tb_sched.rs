@@ -17,9 +17,9 @@
 //! It is also a *latency* decision: the gap between a batch turning
 //! schedulable (`Batch::schedulable_at`) and each of its TBs
 //! dispatching is the queue-wait the policies reorder. The engine
-//! stamps both edges on every TB's `TbRecord`, and the `repro latency`
-//! report compares policies by queue-wait percentiles and critical-path
-//! inflation.
+//! stamps both edges on every TB's `TbRecord`, and the latency
+//! attribution half of the `repro profile` report compares policies by
+//! queue-wait percentiles and critical-path inflation.
 
 use crate::kernel::{Batch, ResourceReq};
 use crate::smx::SmxResources;

@@ -6,8 +6,8 @@
 //! entering the KMU/KDU, TB dispatches and completions, device launches
 //! issued and matured, priority-queue activity inside the TB scheduler,
 //! stage-3 steals, and idle-cycle fast-forward jumps. [`VecSink`]
-//! collects events for programmatic inspection; [`render`] formats an
-//! event stream as text; `sim_metrics::perfetto` renders one as a
+//! collects events for programmatic inspection; each event's `Display`
+//! is one line of text; `sim_metrics::perfetto` renders a stream as a
 //! Chrome/Perfetto `trace_event` JSON file.
 //!
 //! With no sink attached the trace path costs nothing: the engine's
@@ -241,15 +241,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Renders an event stream as one line per event.
-pub fn render(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&format!("{:>10}  {}\n", r.cycle, r.event));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -321,12 +312,7 @@ mod tests {
             TraceEvent::BackupAdopted { smx: SmxId(0), backup_set: 1 },
             TraceEvent::FastForward { from: 10, to: 60 },
         ];
-        let records: Vec<TraceRecord> = events
-            .iter()
-            .enumerate()
-            .map(|(i, &event)| TraceRecord { cycle: i as u64, event })
-            .collect();
-        let text = render(&records);
+        let text: String = events.iter().map(|e| format!("{e}\n")).collect();
         assert_eq!(text.lines().count(), events.len());
         assert!(text.contains("queued at KMU"));
         assert!(text.contains("coalesced"));

@@ -6,7 +6,8 @@
 //!   simulation and collects a [`harness::RunRecord`]; the building block
 //!   for Figures 7, 8, and 9.
 //! * [`report`] — mean/geomean aggregation and fixed-width table
-//!   rendering for the `repro` binary and EXPERIMENTS.md.
+//!   rendering for the `repro` binary and EXPERIMENTS.md, and the one
+//!   text summary of a single run ([`report::run_summary`]).
 //! * [`timeline`] — windowed time-series sampling of a running
 //!   simulation (when does the locality benefit materialize?).
 //! * [`export`] — CSV rendering of run records and timelines for
@@ -17,8 +18,6 @@
 //! * [`journal`] — append-only, checksummed record journal backing the
 //!   resilient sweep's content-addressed cell cache (truncated or
 //!   corrupt tails are detected and dropped, never served).
-//! * [`registry`] — counter/gauge/histogram registry with a standard
-//!   metric set derived from a run's stats and trace.
 //! * [`perfetto`] — Chrome/Perfetto `trace_event` JSON export of a
 //!   traced run, plus the validator the CI smoke step uses.
 
@@ -32,7 +31,6 @@ pub mod harness;
 pub mod journal;
 pub mod json;
 pub mod perfetto;
-pub mod registry;
 pub mod report;
 pub mod timeline;
 
@@ -41,5 +39,4 @@ pub use harness::{run_once, LocalityRecord, RunRecord, SchedulerKind};
 pub use journal::{fnv1a64, read_journal, JournalDamage, JournalRead, JournalWriter};
 pub use json::{run_from_json, run_to_json, Json};
 pub use perfetto::{perfetto_json, validate_trace, TraceCheck};
-pub use registry::{registry_for_run, MetricsRegistry};
 pub use timeline::{run_timeline, TimelinePoint};

@@ -65,13 +65,6 @@ fn ci_swept() -> &'static Swept {
     SWEPT.get_or_init(|| ci_sweep(false))
 }
 
-/// The profiled ci-scale sweep, shared by the profile and latency
-/// tests.
-fn ci_profiled() -> &'static Swept {
-    static SWEPT: OnceLock<Swept> = OnceLock::new();
-    SWEPT.get_or_init(|| ci_sweep(true))
-}
-
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_report_matches_golden() {
@@ -99,20 +92,23 @@ fn ci_scale_shapes_all_pass() {
     assert!(failed.is_empty(), "shape assertions failed at ci scale:\n{}", failed.join("\n"));
 }
 
-/// The engine-profiled twin of [`ci_scale_report_matches_golden`]: the
-/// `repro profile` section at ci scale is deterministic (simulated-side
-/// counters only, no wall clock) and must match its golden. Regenerate
-/// with `cargo run --release -p laperm-bench --bin repro -- profile \
-/// --scale ci --json /tmp/repro_profile.json \
+/// The profiled twin of [`ci_scale_report_matches_golden`]: the `repro
+/// profile` report at ci scale (engine introspection, then latency
+/// attribution) is deterministic (simulated-side counters and
+/// simulated-cycle lifecycle stamps only, no wall clock) and must match
+/// its golden. Regenerate with `cargo run --release -p laperm-bench \
+/// --bin repro -- profile --scale ci --json /tmp/repro_profile.json \
 /// > tests/golden/repro_profile_ci.txt`
 #[test]
 #[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
 fn ci_scale_profile_matches_golden() {
     let golden = include_str!("golden/repro_profile_ci.txt");
-    let doc = &ci_profiled().doc;
+    let swept = ci_sweep(true);
+    let doc = &swept.doc;
     assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
 
-    // The engine shape assertions bind on a profiled document.
+    // The engine and latency shape assertions bind on a profiled
+    // document.
     let outcomes = evaluate_shapes(doc);
     let failed: Vec<String> =
         outcomes.iter().filter(|o| !o.passed).map(|o| format!("{}: {}", o.id, o.detail)).collect();
@@ -123,33 +119,5 @@ fn ci_scale_profile_matches_golden() {
     assert_eq!(
         current, golden,
         "ci-scale profile report drifted from tests/golden/repro_profile_ci.txt"
-    );
-}
-
-/// The latency-attribution twin: `repro latency` at ci scale is
-/// deterministic (lifecycle edges are simulated-cycle stamps, never wall
-/// clock) and must match its golden byte-for-byte regardless of `--jobs`.
-/// Regenerate with `cargo run --release -p laperm-bench --bin repro -- \
-/// latency --scale ci > tests/golden/repro_latency_ci.txt`
-#[test]
-#[ignore = "ci-scale sweep takes tens of seconds; run with --ignored"]
-fn ci_scale_latency_matches_golden() {
-    let golden = include_str!("golden/repro_latency_ci.txt");
-    let swept = ci_profiled();
-    let doc = &swept.doc;
-    assert!(doc.failures.is_empty(), "sweep failures: {:?}", doc.failures);
-
-    // The latency shape assertions bind on a profiled document.
-    let outcomes = evaluate_shapes(doc);
-    let failed: Vec<String> =
-        outcomes.iter().filter(|o| !o.passed).map(|o| format!("{}: {}", o.id, o.detail)).collect();
-    assert!(failed.is_empty(), "shape assertions failed on profiled doc:\n{}", failed.join("\n"));
-
-    let m = MatrixRecords::from_records(doc.records.clone());
-    let mut session = swept.session.lock().expect("session lock");
-    let current = laperm_bench::latency_report(&mut session, &ci_suite().0, &m);
-    assert_eq!(
-        current, golden,
-        "ci-scale latency report drifted from tests/golden/repro_latency_ci.txt"
     );
 }

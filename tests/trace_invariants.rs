@@ -1,6 +1,7 @@
 //! Cross-layer invariants of the full trace stream: scheduler events,
 //! engine events, and final statistics all tell one consistent story,
-//! and the Perfetto export of a real run validates.
+//! the Perfetto export of a real run validates, and its run summary
+//! renders every profiler block and counter.
 
 use std::sync::Arc;
 
@@ -10,18 +11,24 @@ use gpu_sim::engine::Simulator;
 use gpu_sim::stats::SimStats;
 use gpu_sim::trace::{TraceEvent, TraceRecord, VecSink};
 use sim_metrics::harness::SchedulerKind;
-use sim_metrics::{perfetto_json, registry_for_run, validate_trace};
+use sim_metrics::report::run_summary;
+use sim_metrics::{perfetto_json, validate_trace};
 use workloads::{suite, Scale, SharedSource, Workload};
 
 const NUM_SMXS: u16 = 4;
 
+/// One traced run; `profiled` turns on all three profilers.
 fn traced(
     w: &Arc<dyn Workload>,
     model: LaunchModelKind,
     sched: SchedulerKind,
+    profiled: bool,
 ) -> (Vec<TraceRecord>, SimStats) {
     let mut cfg = GpuConfig::small_test();
     cfg.num_smxs = NUM_SMXS;
+    cfg.profile_locality = profiled;
+    cfg.profile_engine = profiled;
+    cfg.profile_latency = profiled;
     let sink = VecSink::new();
     let mut sim = Simulator::new(cfg.clone(), Box::new(SharedSource(w.clone())))
         .with_scheduler(sched.build(&cfg))
@@ -39,7 +46,7 @@ fn tb_completes_on_its_dispatch_smx() {
     let all = suite(Scale::Tiny);
     for w in all.iter().take(3) {
         for sched in SchedulerKind::all() {
-            let (records, _) = traced(w, LaunchModelKind::Dtbl, sched);
+            let (records, _) = traced(w, LaunchModelKind::Dtbl, sched, false);
             let mut dispatch_smx = std::collections::HashMap::new();
             for r in &records {
                 match r.event {
@@ -67,7 +74,7 @@ fn tb_completes_on_its_dispatch_smx() {
 fn trace_cycles_never_decrease() {
     let all = suite(Scale::Tiny);
     for w in all.iter().take(3) {
-        let (records, _) = traced(w, LaunchModelKind::Cdp, SchedulerKind::AdaptiveBind);
+        let (records, _) = traced(w, LaunchModelKind::Cdp, SchedulerKind::AdaptiveBind, false);
         for pair in records.windows(2) {
             assert!(
                 pair[0].cycle <= pair[1].cycle,
@@ -84,7 +91,7 @@ fn traced_steals_match_scheduler_counter() {
     let all = suite(Scale::Tiny);
     let mut total_steals = 0;
     for w in all.iter().take(3) {
-        let (records, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind);
+        let (records, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, false);
         let traced_steals =
             records.iter().filter(|r| matches!(r.event, TraceEvent::Stage3Steal { .. })).count()
                 as u64;
@@ -109,7 +116,7 @@ fn traced_steals_match_scheduler_counter() {
 fn every_laperm_dispatch_dequeues_exactly_once() {
     let all = suite(Scale::Tiny);
     for w in all.iter().take(3) {
-        let (records, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind);
+        let (records, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, false);
         let dequeues =
             records.iter().filter(|r| matches!(r.event, TraceEvent::QueueDequeued { .. })).count();
         assert_eq!(
@@ -128,7 +135,7 @@ fn every_laperm_dispatch_dequeues_exactly_once() {
 fn perfetto_export_of_real_run_validates() {
     let all = suite(Scale::Tiny);
     let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs in suite");
-    let (records, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind);
+    let (records, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, false);
     let json = perfetto_json(&records, &stats, &[], NUM_SMXS);
     let check = validate_trace(&json).expect("trace validates");
     assert_eq!(check.smx_tracks, usize::from(NUM_SMXS));
@@ -138,25 +145,21 @@ fn perfetto_export_of_real_run_validates() {
 }
 
 #[test]
-fn registry_of_real_run_is_consistent() {
+fn summary_of_real_run_names_every_block_and_counter() {
     let all = suite(Scale::Tiny);
     let w = all.iter().find(|w| w.full_name() == "bfs-citation").expect("bfs in suite");
-    let (records, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind);
-    let registry = registry_for_run(&stats, &records);
-    assert_eq!(registry.counter_value("cycles"), stats.cycles);
-    assert_eq!(registry.counter_value("tbs_total"), stats.tb_records.len() as u64);
-    let stall_sum: u64 = [
-        "stall_scoreboard_cycles",
-        "stall_memory_pending_cycles",
-        "stall_mshr_full_cycles",
-        "stall_barrier_cycles",
-        "stall_no_tb_cycles",
-    ]
-    .iter()
-    .map(|k| registry.counter_value(k))
-    .sum();
-    assert_eq!(stall_sum, stats.total_stalls().total());
-    let json = registry.to_json();
-    assert!(json.contains("\"counters\""));
-    assert!(json.contains("\"histograms\""));
+    let (_, stats) = traced(w, LaunchModelKind::Dtbl, SchedulerKind::AdaptiveBind, true);
+    let summary = run_summary(&stats);
+    let cycles = format!(" {}", stats.cycles);
+    assert!(summary.lines().any(|l| l.starts_with("cycles ") && l.ends_with(&cycles)), "{summary}");
+    for block in ["child wait", "locality provenance", "engine self-profile", "latency attribution"]
+    {
+        assert!(summary.contains(block), "summary lacks {block}:\n{summary}");
+    }
+    let counters: Vec<&str> =
+        stats.scheduler_counters.iter().chain(&stats.launch_counters).map(|(k, _)| *k).collect();
+    assert!(counters.contains(&"stage3_steals") && counters.contains(&"dtbl_table_overflows"));
+    for name in counters {
+        assert!(summary.lines().any(|l| l.starts_with(name)), "summary lacks {name}:\n{summary}");
+    }
 }
