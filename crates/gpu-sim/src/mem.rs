@@ -11,40 +11,15 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 use crate::cache::{AccessClass, Cache, CacheStats, Lineage, ProbeResult};
 use crate::config::GpuConfig;
 use crate::dram::Dram;
-use crate::types::{Cycle, LineAddr, SmxId};
+use crate::types::{Cycle, LineAddr, LineHasher, SmxId};
 
 /// Maximum in-flight L2 misses tracked by the MSHR file.
 const MSHR_ENTRIES: usize = 1024;
-
-/// Multiply-mix hasher for `u64` line addresses. The MSHR map is probed
-/// on every transaction that reaches L2, where SipHash shows up in
-/// profiles; a fixed-key mix is plenty for cache-line keys and, unlike
-/// `RandomState`, is deterministic across processes.
-#[derive(Default)]
-struct LineHasher(u64);
-
-impl Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut h = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-}
 
 type LineMap = HashMap<LineAddr, Cycle, BuildHasherDefault<LineHasher>>;
 

@@ -1,6 +1,7 @@
 //! Fundamental identifier and unit types shared across the simulator.
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// A simulation cycle count in the SMX clock domain.
 pub type Cycle = u64;
@@ -93,6 +94,32 @@ pub type Addr = u64;
 
 /// A 128-byte cache line address (byte address >> line bits).
 pub type LineAddr = u64;
+
+/// Multiply-mix hasher for `u64` line addresses, for maps keyed by line
+/// (`HashMap<LineAddr, _, BuildHasherDefault<LineHasher>>`). The MSHR
+/// map is probed on every transaction that reaches L2, where SipHash
+/// shows up in profiles; a fixed-key mix is plenty for cache-line keys
+/// and, unlike `RandomState`, is deterministic across processes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let mut h = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 32;
+        self.0 = h;
+    }
+}
 
 #[cfg(test)]
 mod tests {

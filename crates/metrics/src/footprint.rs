@@ -14,8 +14,12 @@
 //! * **parent-parent**: lines shared between adjacent parent TBs, over
 //!   the other's size (the paper reports ~9%, far below parent-child).
 
-use gpu_sim::program::KernelKindId;
-use gpu_sim::types::LineAddr;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::ops::Range;
+
+use gpu_sim::program::LaunchSpec;
+use gpu_sim::types::{LineAddr, LineHasher};
 use workloads::Workload;
 
 const LINE_BITS: u32 = 7; // 128-byte lines, as in the paper's analysis
@@ -23,13 +27,8 @@ const LINE_BITS: u32 = 7; // 128-byte lines, as in the paper's analysis
 /// Safety cap on recursive launch depth.
 const MAX_DEPTH: u32 = 8;
 
-#[derive(Debug)]
-struct TbNode {
-    /// Every global-memory line the TB touches, sorted and deduplicated.
-    lines: Box<[LineAddr]>,
-    /// Children grouped per launch (each launch spawns `num_tbs` TBs).
-    children: Vec<TbNode>,
-}
+/// `owner` of a line that two or more children of one launching TB hold.
+const MULTI: u32 = u32::MAX;
 
 /// Results of the footprint analysis of one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,170 +51,174 @@ pub struct FootprintAnalysis {
 impl FootprintAnalysis {
     /// Runs the analysis on a workload.
     pub fn analyze(workload: &dyn Workload) -> Self {
-        let mut parents: Vec<TbNode> = Vec::new();
-        let mut lines = Vec::new();
-        for hk in workload.host_kernels() {
-            for tb in 0..hk.num_tbs {
-                parents.push(expand(
-                    workload,
-                    hk.kind,
-                    hk.param,
-                    tb,
-                    hk.req.threads,
-                    0,
-                    &mut lines,
-                ));
-            }
-        }
+        Walk::default().analyze(workload)
+    }
+}
 
-        // Parent-child and child-sibling ratios over every launching TB
-        // in the tree (host parents and nested launchers alike). The
-        // traversal order fixes the order `mean` sums in, and with it
-        // the last bits of every ratio: keep it.
-        let mut pc_ratios = Vec::new();
-        let mut cs_ratios = Vec::new();
-        let mut launching = 0usize;
-        let mut child_count = 0usize;
-        let mut counts = ChildCounts::default();
-        let mut stack: Vec<&TbNode> = parents.iter().collect();
-        while let Some(node) = stack.pop() {
-            if !node.children.is_empty() {
-                launching += 1;
-                child_count += node.children.len();
-                counts.count(node);
-                if counts.uniq > 0 {
-                    pc_ratios.push(counts.in_parent as f64 / counts.uniq as f64);
-                }
-                if node.children.len() >= 2 {
-                    for (child, &own) in node.children.iter().zip(&counts.own) {
-                        // `child ∩ siblings` is the child minus the lines
-                        // only it holds; the siblings' union is every
-                        // child's line minus those same lines.
-                        let siblings = counts.uniq - own;
-                        if siblings > 0 {
-                            let shared = child.lines.len() - own;
-                            cs_ratios.push(shared as f64 / siblings as f64);
-                        }
-                    }
-                }
-            }
-            stack.extend(node.children.iter());
-        }
+/// One depth-first expansion of a workload's TB tree, holding only the
+/// lines of the TBs on the current path and of their expanded children:
+/// a launching TB records its ratios once its last child returns.
+#[derive(Default)]
+struct Walk {
+    /// Each held TB's distinct line ids; a TB's children follow it.
+    ids: Vec<u32>,
+    /// Per held launching TB, where its lines, then each child's, end.
+    ends: Vec<usize>,
+    /// Dense first-touch line ids: tables are sized by distinct lines.
+    id_of: HashMap<LineAddr, u32, BuildHasherDefault<LineHasher>>,
+    /// Per line id, the last epoch that marked it. Each TB's dedup, each
+    /// parent mark and each parent-parent pair takes a fresh epoch.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Per line id, the epoch of the last launching TB whose children
+    /// touched it, and which child did, or `MULTI` once a second has.
+    seen: Vec<u32>,
+    owner: Vec<u32>,
+    /// One TB's lines, repeats included.
+    raw: Vec<LineAddr>,
+    /// Ratios in post-order, each TB's children last to first.
+    pc_ratios: Vec<f64>,
+    cs_ratios: Vec<f64>,
+    launching: usize,
+    child_tbs: usize,
+}
 
-        // Adjacent parent-parent sharing.
+impl Walk {
+    /// The analysis of `workload`; the walk must be fresh.
+    fn analyze(&mut self, workload: &dyn Workload) -> FootprintAnalysis {
+        // Adjacent parent-parent sharing: `ids` holds the previous
+        // parent's lines while the next one expands.
         let mut pp_ratios = Vec::new();
-        for pair in parents.windows(2) {
-            if !pair[1].lines.is_empty() {
-                let shared = intersection_len(&pair[0].lines, &pair[1].lines);
-                pp_ratios.push(shared as f64 / pair[1].lines.len() as f64);
+        let hosts = workload.host_kernels();
+        let parents = hosts.iter().flat_map(|hk| (0..hk.num_tbs).map(move |tb| (hk, tb)));
+        for (i, (hk, tb)) in parents.enumerate() {
+            let spec = LaunchSpec { kind: hk.kind, param: hk.param, num_tbs: 0, req: hk.req };
+            let prev = self.ids.len();
+            let end = self.expand(workload, &spec, tb, 0);
+            if i > 0 && end > prev {
+                let epoch = self.mark_lines(0..prev);
+                let next = &self.ids[prev..end];
+                let shared = next.iter().filter(|&&id| self.mark[id as usize] == epoch);
+                pp_ratios.push(shared.count() as f64 / next.len() as f64);
             }
+            self.ids.drain(..prev);
         }
-
+        // The traversal order fixes the order `mean` sums in, and with
+        // it the last bits of every ratio: a stack of the parents, each
+        // popped TB pushing its children in order. That order is the
+        // post-order `expand` records in, reversed.
+        self.pc_ratios.reverse();
+        self.cs_ratios.reverse();
         FootprintAnalysis {
             workload: workload.full_name(),
-            parent_child: mean(&pc_ratios),
-            child_sibling: mean(&cs_ratios),
+            parent_child: mean(&self.pc_ratios),
+            child_sibling: mean(&self.cs_ratios),
             parent_parent: mean(&pp_ratios),
-            launching_tbs: launching,
-            child_tbs: child_count,
+            launching_tbs: self.launching,
+            child_tbs: self.child_tbs,
         }
     }
-}
 
-/// Line counts over one launching TB's children, computed from a single
-/// sort of every child's lines tagged with the child's index. Buffers
-/// are reused from one launching TB to the next.
-#[derive(Debug, Default)]
-struct ChildCounts {
-    /// `(line, child index)` for every line of every child.
-    tagged: Vec<(LineAddr, usize)>,
-    /// Distinct lines over all children: the size of their union.
-    uniq: usize,
-    /// How many of those distinct lines the parent also touches.
-    in_parent: usize,
-    /// Per child, how many of its lines no sibling touches.
-    own: Vec<usize>,
-}
-
-impl ChildCounts {
-    fn count(&mut self, parent: &TbNode) {
-        self.tagged.clear();
-        for (i, child) in parent.children.iter().enumerate() {
-            self.tagged.extend(child.lines.iter().map(|&line| (line, i)));
+    /// Appends TB `tb` of `spec`'s batch's line ids to `ids`, expands its
+    /// subtree below `MAX_DEPTH`, and returns where its lines end.
+    fn expand(&mut self, workload: &dyn Workload, spec: &LaunchSpec, tb: u32, depth: u32) -> usize {
+        let program = workload.tb_program(spec.kind, spec.param, tb);
+        self.raw.clear();
+        for m in program.global_mem_ops() {
+            m.pattern.lines_into(0, spec.req.threads, LINE_BITS, &mut self.raw);
         }
-        self.tagged.sort_unstable_by_key(|&(line, _)| line);
-        self.own.clear();
-        self.own.resize(parent.children.len(), 0);
-        self.uniq = 0;
-        self.in_parent = 0;
-        // Each child's lines are distinct, so a run of one tag is a line
-        // exactly one child holds.
-        for run in self.tagged.chunk_by(|a, b| a.0 == b.0) {
-            self.uniq += 1;
-            if let [(_, only)] = run {
-                self.own[*only] += 1;
+        // Dedup by stamp: every id is written, and kept only if this
+        // TB's epoch has not stamped it yet.
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let start = self.ids.len();
+        self.ids.resize(start + self.raw.len(), 0);
+        let mut end = start;
+        let mut prev = None;
+        for &line in &self.raw {
+            // Threads of one op often share a line: skip the lookup.
+            if prev.replace(line) == Some(line) {
+                continue;
             }
-            if parent.lines.binary_search(&run[0].0).is_ok() {
-                self.in_parent += 1;
+            let id = *self.id_of.entry(line).or_insert_with(|| {
+                self.mark.push(0);
+                u32::try_from(self.mark.len() - 1).expect("footprint line ids exceed u32")
+            });
+            self.ids[end] = id;
+            end += usize::from(self.mark[id as usize] != epoch);
+            self.mark[id as usize] = epoch;
+        }
+        self.ids.truncate(end);
+        if depth < MAX_DEPTH {
+            let first = self.ends.len();
+            self.ends.push(end);
+            for launch in program.launches() {
+                for child_tb in 0..launch.num_tbs {
+                    let child_end = self.expand(workload, launch, child_tb, depth + 1);
+                    self.ends.push(child_end);
+                }
+            }
+            if self.ends.len() > first + 1 {
+                self.count_children(start..end, first);
+            }
+            self.ends.truncate(first);
+            self.ids.truncate(end);
+        }
+        end
+    }
+
+    /// Records the ratios of the TB with lines `parent` and children
+    /// ending at `ends[first + 1..]`. A child's first touch of a line
+    /// counts towards `uniq` and its `own`; a second child takes it back.
+    fn count_children(&mut self, parent: Range<usize>, first: usize) {
+        let n = self.ends.len() - first - 1;
+        self.launching += 1;
+        self.child_tbs += n;
+        let epoch = self.mark_lines(parent);
+        self.seen.resize(self.mark.len(), 0);
+        self.owner.resize(self.mark.len(), 0);
+        // Per child, the lines no sibling touches.
+        let mut own = vec![0usize; n];
+        let (mut uniq, mut in_parent) = (0usize, 0usize);
+        for (i, child) in self.ends[first..].windows(2).enumerate() {
+            for &id in &self.ids[child[0]..child[1]] {
+                let id = id as usize;
+                if self.seen[id] != epoch {
+                    self.seen[id] = epoch;
+                    self.owner[id] = i as u32;
+                    uniq += 1;
+                    own[i] += 1;
+                    in_parent += usize::from(self.mark[id] == epoch);
+                } else if self.owner[id] != MULTI {
+                    own[self.owner[id] as usize] -= 1;
+                    self.owner[id] = MULTI;
+                }
             }
         }
-    }
-}
-
-/// `|a ∩ b|` for two sorted, deduplicated line sets.
-fn intersection_len(a: &[LineAddr], b: &[LineAddr]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
+        if uniq > 0 {
+            self.pc_ratios.push(in_parent as f64 / uniq as f64);
         }
-    }
-    n
-}
-
-/// The node of TB `tb_index` of a `(kind, param)` batch and, below
-/// `MAX_DEPTH`, its launched subtree. `lines` is scratch space reused
-/// across every TB of the tree.
-fn expand(
-    workload: &dyn Workload,
-    kind: KernelKindId,
-    param: u64,
-    tb_index: u32,
-    threads: u32,
-    depth: u32,
-    lines: &mut Vec<LineAddr>,
-) -> TbNode {
-    let program = workload.tb_program(kind, param, tb_index);
-    lines.clear();
-    for m in program.global_mem_ops() {
-        m.pattern.lines_into(0, threads, LINE_BITS, lines);
-    }
-    lines.sort_unstable();
-    lines.dedup();
-    let own: Box<[LineAddr]> = lines.as_slice().into();
-    let mut children = Vec::new();
-    if depth < MAX_DEPTH {
-        for launch in program.launches() {
-            for child_tb in 0..launch.num_tbs {
-                children.push(expand(
-                    workload,
-                    launch.kind,
-                    launch.param,
-                    child_tb,
-                    launch.req.threads,
-                    depth + 1,
-                    lines,
-                ));
+        if n >= 2 {
+            for (child, &own) in self.ends[first..].windows(2).zip(&own).rev() {
+                // `child ∩ siblings` is the child minus the lines only it
+                // holds; the siblings' union is `uniq` minus those lines.
+                let siblings = uniq - own;
+                if siblings > 0 {
+                    let shared = child[1] - child[0] - own;
+                    self.cs_ratios.push(shared as f64 / siblings as f64);
+                }
             }
         }
     }
-    TbNode { lines: own, children }
+
+    /// Marks the lines `ids[lines]` with a fresh epoch, which it returns.
+    fn mark_lines(&mut self, lines: Range<usize>) -> u32 {
+        self.epoch += 1;
+        for &id in &self.ids[lines] {
+            self.mark[id as usize] = self.epoch;
+        }
+        self.epoch
+    }
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -235,13 +238,6 @@ pub struct FootprintSummary {
 }
 
 impl FootprintSummary {
-    /// Analyzes every workload in a suite.
-    pub fn analyze_suite(suite: &[std::sync::Arc<dyn Workload>]) -> Self {
-        FootprintSummary {
-            rows: suite.iter().map(|w| FootprintAnalysis::analyze(w.as_ref())).collect(),
-        }
-    }
-
     /// Mean parent-child ratio over the suite (paper: ~38%).
     pub fn mean_parent_child(&self) -> f64 {
         mean(&self.rows.iter().map(|r| r.parent_child).collect::<Vec<_>>())
@@ -262,11 +258,12 @@ impl FootprintSummary {
 mod tests {
     use super::*;
     use gpu_sim::kernel::ResourceReq;
-    use gpu_sim::program::{AddrPattern, LaunchSpec, MemOp, ProgramSource, TbOp, TbProgram};
+    use gpu_sim::program::{AddrPattern, KernelKindId, MemOp, ProgramSource, TbOp, TbProgram};
     use workloads::apps::amr::Amr;
     use workloads::apps::bfs::Bfs;
     use workloads::apps::join::{Join, JoinInput};
     use workloads::graph::GraphKind;
+    use workloads::rng::SplitMix64;
     use workloads::{HostKernel, Scale};
 
     /// The straightforward analysis: `HashSet` line sets, and a fresh
@@ -627,6 +624,141 @@ mod tests {
     }
 
     #[test]
+    fn sparse_lines_get_dense_ids() {
+        // Lines 2^40 bytes apart, and one at the top of the address
+        // space: the id table holds exactly the distinct lines, however
+        // wide their span.
+        const FAR: u64 = 1 << 40;
+        let w = Synthetic {
+            host: vec![host(0, 2)],
+            program: |kind, _, tb| {
+                let tb = u64::from(tb);
+                let gather =
+                    |addrs: Vec<u64>| TbOp::Mem(MemOp::load(AddrPattern::Gather(addrs.into())));
+                match kind {
+                    0 => vec![gather(vec![tb * FAR, (tb + 1) * FAR, u64::MAX]), launch(1, tb, 3)],
+                    _ => vec![
+                        gather(vec![(tb + 1) * FAR + 8, 7 * FAR, (tb + 1) * FAR]),
+                        TbOp::Mem(MemOp::store(AddrPattern::Broadcast(u64::MAX - 1))),
+                    ],
+                }
+            },
+        };
+        let a = check(&w);
+        assert_eq!((a.launching_tbs, a.child_tbs), (2, 6));
+        // Every line: 0, FAR, 2FAR, 3FAR, 7FAR and the top line.
+        let mut walk = Walk::default();
+        walk.analyze(&w);
+        assert_eq!(walk.id_of.len(), 6);
+        assert_eq!(walk.mark.len(), 6);
+        assert!(walk.id_of.contains_key(&(u64::MAX >> LINE_BITS)));
+    }
+
+    #[test]
+    fn siblings_share_across_launch_groups() {
+        // One parent, two launches: the second group's children share
+        // lines 20 and 21 with the first group's. Every TB of both
+        // launches is one sibling group.
+        let w = Synthetic {
+            host: vec![host(0, 1)],
+            program: |kind, _, tb| {
+                let tb = u64::from(tb);
+                match kind {
+                    0 => vec![load_lines(&[10, 30]), launch(1, 0, 2), launch(2, 0, 2)],
+                    1 => vec![load_lines(&[10, 20 + tb])],
+                    _ if tb == 0 => vec![load_lines(&[20, 30])],
+                    _ => vec![load_lines(&[21, 30, 40])],
+                }
+            },
+        };
+        let a = check(&w);
+        assert_eq!((a.launching_tbs, a.child_tbs), (1, 4));
+        // Union {10, 20, 21, 30, 40}; the parent holds 10 and 30.
+        assert_eq!(a.parent_child, 2.0 / 5.0);
+        // Each child shares 2 lines; only the last holds a line (40)
+        // no sibling does.
+        assert_eq!(a.child_sibling, (0.4 + 0.4 + 0.4 + 0.5) / 4.0);
+    }
+
+    /// A random TB program. `kind` is the TB's depth and `(param, tb)`
+    /// seeds it: zero to four ops drawn from repeat-heavy gathers,
+    /// broadcasts, strided accesses, shared-memory ops and compute over
+    /// a small line pool, so TBs share lines; then launches. Host TBs
+    /// launch up to 40 children, a few depth-1 TBs as many, and deeper
+    /// TBs usually one, so chains run past `MAX_DEPTH`.
+    fn random_program(depth: u16, param: u64, tb: u32) -> Vec<TbOp> {
+        let mut rng = SplitMix64::stream(param, u64::from(tb));
+        let mut ops = Vec::new();
+        for _ in 0..rng.below(5) {
+            let addr = rng.below(48) * LINE + rng.below(LINE);
+            let pattern = match rng.below(5) {
+                0 => {
+                    let n = 1 + rng.below(40);
+                    let pool = 1 + rng.below(8);
+                    AddrPattern::Gather((0..n).map(|_| addr + rng.below(pool) * LINE).collect())
+                }
+                1 => AddrPattern::Broadcast(addr),
+                2 => AddrPattern::Strided {
+                    base: addr,
+                    stride: [0, 4, 8, 128, 512][rng.below(5) as usize],
+                },
+                3 => {
+                    ops.push(TbOp::Mem(MemOp::shared(AddrPattern::Strided {
+                        base: addr,
+                        stride: 4,
+                    })));
+                    continue;
+                }
+                _ => {
+                    ops.push(TbOp::Compute(1));
+                    continue;
+                }
+            };
+            let store = rng.below(4) == 0;
+            ops.push(TbOp::Mem(if store { MemOp::store(pattern) } else { MemOp::load(pattern) }));
+        }
+        let launches = match depth {
+            0 => vec![rng.below(21), rng.below(21)],
+            1 if rng.below(8) == 0 => vec![rng.below(41)],
+            _ => vec![u64::from(rng.below(8) != 0)],
+        };
+        for (i, n) in launches.into_iter().enumerate() {
+            ops.push(TbOp::Launch(LaunchSpec {
+                kind: KernelKindId(depth + 1),
+                param: param ^ (u64::from(tb) << 8 | i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                num_tbs: n as u32,
+                req: ResourceReq::new(1 + rng.below(64) as u32, 16, 0),
+            }));
+        }
+        ops
+    }
+
+    #[test]
+    fn matches_reference_on_random_trees() {
+        for seed in 0..200u64 {
+            let mut rng = SplitMix64::stream(seed, 0);
+            let host = (0..1 + rng.below(3))
+                .map(|_| HostKernel {
+                    kind: KernelKindId(0),
+                    param: rng.next_u64(),
+                    num_tbs: 1 + rng.below(3) as u32,
+                    req: ResourceReq::new(1 + rng.below(64) as u32, 16, 0),
+                })
+                .collect();
+            check(&Synthetic { host, program: random_program });
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_compiled_tiny_suite() {
+        let suite = wdsl::compiled_suite_seeded(Scale::Tiny, 0, wdsl::ExecMode::Vm)
+            .expect("the suite compiles");
+        for w in suite {
+            check(w.as_ref());
+        }
+    }
+
+    #[test]
     fn ratios_are_in_unit_interval() {
         let a = FootprintAnalysis::analyze(&Bfs::new(GraphKind::Citation, Scale::Tiny));
         for r in [a.parent_child, a.child_sibling, a.parent_parent] {
@@ -692,7 +824,8 @@ mod tests {
     #[test]
     fn suite_summary_matches_paper_structure() {
         let all = workloads::suite(Scale::Tiny);
-        let summary = FootprintSummary::analyze_suite(&all);
+        let rows = all.iter().map(|w| FootprintAnalysis::analyze(w.as_ref())).collect();
+        let summary = FootprintSummary { rows };
         assert_eq!(summary.rows.len(), all.len());
         // The headline structure: parent-child sharing is substantial and
         // exceeds parent-parent sharing on average.

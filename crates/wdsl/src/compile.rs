@@ -328,7 +328,7 @@ mod tests {
     use crate::resolve::resolve;
 
     fn compile_src(src: &str) -> Vec<CompiledKernel> {
-        compile(&resolve(&parse(src).expect("parses")).expect("resolves")).expect("compiles")
+        compile(&resolve(parse(src).expect("parses")).expect("resolves")).expect("compiles")
     }
 
     fn kernel_src(body: &str) -> String {

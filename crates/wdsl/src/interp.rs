@@ -232,7 +232,7 @@ mod tests {
     use gpu_sim::program::{AddrPattern, TbOp};
 
     fn run_one(src: &str, param: u64, tb: u32) -> Result<TbProgram, DslError> {
-        let w = resolve(&parse(src).expect("parses")).expect("resolves");
+        let w = resolve(parse(src).expect("parses")).expect("resolves");
         let hk = w.hosts[0];
         let k = w.kernel(hk.kind).expect("kernel exists").clone();
         interpret_tb(&w, &k, param, tb)

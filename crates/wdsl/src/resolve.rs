@@ -182,7 +182,8 @@ impl ResolvedWorkload {
     }
 }
 
-/// Resolves a parsed workload.
+/// Resolves a parsed workload, consuming it so that each AST `data`
+/// table is freed as soon as the result's `Arc` copy of it exists.
 ///
 /// # Errors
 ///
@@ -190,7 +191,7 @@ impl ResolvedWorkload {
 /// expression, out-of-range declaration value, or structural violation
 /// (`yield` outside `gather`, ops inside `gather`, duplicate kernel
 /// kind, host launch of an undefined kind).
-pub fn resolve(ast: &WorkloadAst) -> Result<ResolvedWorkload, DslError> {
+pub fn resolve(ast: WorkloadAst) -> Result<ResolvedWorkload, DslError> {
     Resolver::default().run(ast)
 }
 
@@ -220,17 +221,17 @@ impl Vars {
 }
 
 impl Resolver {
-    fn run(mut self, ast: &WorkloadAst) -> Result<ResolvedWorkload, DslError> {
+    fn run(mut self, ast: WorkloadAst) -> Result<ResolvedWorkload, DslError> {
         if ast.name.is_empty() {
             return Err(err(0, "workload name must not be empty"));
         }
         // Data arrays first: `len()` is usable in constant expressions.
-        for (line, name, values) in &ast.datas {
-            self.check_fresh(*line, name)?;
+        for (line, name, values) in ast.datas {
+            self.check_fresh(line, &name)?;
             let id =
-                u32::try_from(self.datas.len()).map_err(|_| err(*line, "too many data arrays"))?;
+                u32::try_from(self.datas.len()).map_err(|_| err(line, "too many data arrays"))?;
             self.data_ids.insert(name.clone(), id);
-            self.datas.push(RData { name: name.clone(), values: values.clone().into() });
+            self.datas.push(RData { name, values: values.into() });
         }
         for (line, name, expr) in &ast.consts {
             self.check_fresh(*line, name)?;
@@ -305,8 +306,8 @@ impl Resolver {
         }
 
         Ok(ResolvedWorkload {
-            name: ast.name.clone(),
-            input: ast.input.clone(),
+            name: ast.name,
+            input: ast.input,
             regions: self.regions,
             datas: self.datas,
             hosts,
@@ -648,7 +649,7 @@ mod tests {
     use crate::parser::parse;
 
     fn resolve_src(src: &str) -> Result<ResolvedWorkload, DslError> {
-        resolve(&parse(src).expect("parses"))
+        resolve(parse(src).expect("parses"))
     }
 
     const HEADER: &str = r#"workload "t";

@@ -63,8 +63,7 @@ impl CompiledWorkload {
     /// Returns the first error of any pipeline stage (lex, parse,
     /// resolve, bytecode verification).
     pub fn from_source(src: &str, mode: ExecMode) -> Result<Self, DslError> {
-        let ast = parse(src)?;
-        let resolved = resolve(&ast)?;
+        let resolved = resolve(parse(src)?)?;
         let kernels = compile(&resolved)?;
         let regions = resolved.regions.iter().map(|r| r.region).collect();
         let program_id = format!("dsl-{:016x}", digest(src.as_bytes()));

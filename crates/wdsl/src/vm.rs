@@ -247,7 +247,7 @@ mod tests {
     use crate::resolve::{resolve, ResolvedWorkload};
 
     fn setup(src: &str) -> (ResolvedWorkload, Vec<Region>, CompiledKernel) {
-        let w = resolve(&parse(src).expect("parses")).expect("resolves");
+        let w = resolve(parse(src).expect("parses")).expect("resolves");
         let regions: Vec<Region> = w.regions.iter().map(|r| r.region).collect();
         let k = compile_kernel(&w, &w.kernels[0]).expect("compiles");
         (w, regions, k)
